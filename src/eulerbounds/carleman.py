@@ -276,9 +276,11 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
     fail_simple: Optional[int] = None
     fail_one: Optional[int] = None
     non_improving: list[int] = []
+    upper = upper_bound(variant)
+    bare = bare_optimal_bound()
     for n in range(1, N + 1):
-        refined = weight_over_e(WeightScheme.refined(variant), n)
-        simple = Fraction(12 * n + 5, 12 * n + 11)
+        refined = upper.eval(n)
+        simple = bare.eval(n)
         start = Fraction(1, 64 * n**7)
         env = normalized_euler_interval(n, start)
         if fail_refined is None and not _strictly_below(n, refined, env, start):
@@ -287,7 +289,7 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
             fail_simple = n
         if fail_one is None and not simple < 1:
             fail_one = n
-        if epsilon_term(n, variant) <= 0:
+        if simple - refined <= 0:  # eps_n <= 0
             non_improving.append(n)
     return ChainReport(N, variant,
                        (("value_vs_refined", fail_refined),
@@ -301,6 +303,37 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
 # ---------------------------------------------------------------------------
 
 
+def geometric_mean_sum(seq: TestSequence, N: int,
+                       width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to the given width."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    per_term = width / N
+    lhs = RatInterval.point(0)
+    for n in range(1, N + 1):
+        lhs = lhs + seq.geometric_mean_enclosure(n, per_term)
+    return lhs
+
+
+def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int,
+                 width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """Enclose rhs = sum_{n<=N} weight(n) a_n: exact for the telescoping
+    family, an e-interval multiple for the simple and refined ones."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if scheme.kind == "polya":
+        total = Fraction(0)
+        for n in range(1, N + 1):
+            total += Fraction((n + 1) ** n, n**n) * seq.term(n)
+        return RatInterval.point(total)
+    if scheme.kind in ("simple", "refined"):
+        total = Fraction(0)
+        for n in range(1, N + 1):
+            total += weight_over_e(scheme, n) * seq.term(n)
+        return euler_number_interval(width / (total + 1)).scale(total)
+    raise ValueError("custom schemes are evaluated by weighted_tail_bound")
+
+
 def carleman_sums(seq: TestSequence, scheme: WeightScheme, N: int,
                   width: Fraction = DEFAULT_WIDTH) -> tuple[RatInterval, RatInterval]:
     """(lhs, rhs) enclosures of the finite-N truncations
@@ -310,25 +343,7 @@ def carleman_sums(seq: TestSequence, scheme: WeightScheme, N: int,
     Both are rigorous; comparing lhs.hi <= rhs.lo is therefore a rigorous
     check of the truncated inequality.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    per_term = width / N
-    lhs = RatInterval.point(0)
-    for n in range(1, N + 1):
-        lhs = lhs + seq.geometric_mean_enclosure(n, per_term)
-
-    if scheme.kind == "polya":
-        total = Fraction(0)
-        for n in range(1, N + 1):
-            total += Fraction((n + 1) ** n, n**n) * seq.term(n)
-        return lhs, RatInterval.point(total)
-    if scheme.kind in ("simple", "refined"):
-        total = Fraction(0)
-        for n in range(1, N + 1):
-            total += weight_over_e(scheme, n) * seq.term(n)
-        rhs = euler_number_interval(width / (total + 1)).scale(total)
-        return lhs, rhs
-    raise ValueError("custom schemes are evaluated by weighted_tail_bound")
+    return geometric_mean_sum(seq, N, width), weighted_sum(seq, scheme, N, width)
 
 
 def classical_rhs(seq: TestSequence, N: int,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -267,6 +268,8 @@ def cmd_keller(args, out) -> int:
                       f"next {rat_str(top.coeff(top.degree() - 1))}\n")
         return EXIT_OK
     width = parse_rational(args.width)
+    if width <= 0:
+        raise UsageError("width must be positive")
     ns = parse_indices(args.n)
     if not ns or min(ns) < 2:
         raise UsageError("difference-sequence indices must be >= 2")
@@ -328,6 +331,9 @@ def cmd_carleman(args, out) -> int:
                   f"{'passed' if report.passed else 'FAILED'}\n")
         return EXIT_OK if report.passed else EXIT_FAIL
     seq = parse_sequence(args.seq)
+    if seq.values is not None and args.N > len(seq.values):
+        raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} terms "
+                         "of the custom sequence")
     scheme = parse_scheme(args.scheme, variant)
     lhs, rhs = carl.carleman_sums(seq, scheme, args.N)
     if args.format == "csv":
@@ -366,6 +372,9 @@ def cmd_verify_all(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
+# One parser per process: parse_args leaves it unchanged, and no handler
+# mutates the list defaults it puts into the namespace.
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="eulerbounds",
                      description="Exact derivation, certification and rigorous "

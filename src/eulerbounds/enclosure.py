@@ -2,27 +2,49 @@
 
 The trusted path is exact: every interval endpoint is a Fraction, every
 rounding is outward, and no binary floating point is involved anywhere.
-The primitives are
+
+``normalized_euler_interval`` works in fixed point.  A stage with digit
+target d holds each quantity as an integer mantissa m standing for
+m / 2^prec, prec = d log2 10 plus 16 guard bits, and rounds every
+division down, carrying an explicit bound in ulps (units of 2^-prec) on
+what the floors lost:
+
+* ln(1 + 1/n) for n = p/q is 2 atanh(y), y = q/(2p+q) <= 1/3, summed at
+  prec plus the bit length of p plus guard bits (n scales its error).
+  Each term sits under 3 ulps below its exact value, and the terms left
+  out once the running power reaches 0 total under 2 ulps.
+* exp of the exponent n ln(1+1/n) - 1, which lies in [ln 2 - 1, 0), is a
+  Taylor sum whose k-th term is off by at most 2 ulps (the exponent's
+  size stays below 1/2), and the terms left out after the first zero
+  term total under 1 ulp.  The upper endpoint uses exp(x + d) <=
+  exp(x) + 2d for 0 <= d <= 1 and x <= 0, so the exponential is summed
+  once per stage.
+
+Endpoints are therefore exact dyadic rationals whose size follows the
+request (361 bits at width 1e-100).  A fixed
+stage schedule with cumulative intersection makes a tighter request
+return a subinterval of a looser one.
+
+The older stages in exact Fractions stay as
+``fraction_normalized_euler_interval``: the prover prints the refutation
+witness's exact endpoints in certificate-format 1, so it keeps using
+them, and the tests cross-check the fixed-point stages against them.
+They and the other enclosures are built from
 
 * alternating partial sums bracketing ln(1+1/n) (``ln1p_interval``),
-* a faster all-positive-terms form of the same logarithm via
-  ln((p+q)/p) = 2 atanh(q/(2p+q)), whose tail has an explicit geometric
-  bound (``ln1p_to_width``) -- the alternating form converges like 1/k at
-  n = 1, which is far too slow for the target widths used here;
+* the all-positive-terms atanh form of the same logarithm with an
+  explicit geometric tail bound (``ln1p_to_width``) -- the alternating
+  form converges like 1/k at n = 1, far too slowly for the widths here;
 * Taylor polynomials for exp with the explicit remainder bound
   |R| <= |s|^(m+1) / ((m+1)! (1-|s|))  on |s| <= 1/2 (``exp_interval``);
 * integer n-th roots for enclosing k-th roots of rationals.
-
-``normalized_euler_interval`` composes these with a fixed refinement
-schedule and cumulative intersection, so a tighter request always returns
-a subinterval of a looser one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .algebra import Scalar, rat_str
 from .series import Variant, lower_bound, upper_bound
@@ -254,26 +276,125 @@ def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
 # ---------------------------------------------------------------------------
 
 
-def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
-    """Enclose (1/e)(1+1/n)^n = exp(n ln(1+1/n) - 1) for rational n >= 1.
+# Each stage i aims at width 10^-(8+8i); the final width test and the
+# 64-stage cap are shared by both stage kinds below.
+_STAGES = 64
+# Extra bits over a stage's digit target: they absorb the few-ulp rounding
+# bounds below (a stage's result spans well under 2^12 ulps up to its last
+# stage, 512 digits).
+_GUARD_BITS = 16
 
-    Runs a fixed stage schedule (logarithm width 10^-(6+8i)/n, adaptive
-    exponential tail 10^-(8+8i)) and intersects the stages, so results for
-    tighter targets are contained in results for looser ones.  The
-    exponent lies in (-1/2, 0) for n >= 1, inside the exp domain.
+
+def _refine(stage_enclosure: Callable[[int], RatInterval],
+            target_width: Fraction) -> RatInterval:
+    """Intersect the stages in order until the width test passes.
+
+    Stage i never depends on the target, so the result for a tighter
+    target is the intersection of more stages: a subinterval of the
+    result for a looser one.
     """
-    n = Fraction(n)
-    if n < 1:
-        raise DomainError("normalized sequence value needs n >= 1")
     best: Optional[RatInterval] = None
-    for stage in range(64):
-        ln_iv = ln1p_to_width(n, Fraction(1, 10 ** (6 + 8 * stage)) / n)
-        exponent = ln_iv.scale(n) - 1
-        cur = _exp_interval_adaptive(exponent, Fraction(1, 10 ** (8 + 8 * stage)))
+    for stage in range(_STAGES):
+        cur = stage_enclosure(stage)
         best = cur if best is None else best.intersect(cur)
         if best.width <= target_width:
             return best
     raise ArithmeticError("enclosure refinement failed to reach the target width")
+
+
+def _ln1p_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^prec ln(1 + q/p) <= hi, for p >= q >= 1.
+
+    Sums ln(1 + q/p) = 2 atanh(y), y = q/(2p+q) <= 1/3, with every
+    division rounded down.  The running power Y stands for 2^prec y^j and
+    sits below it by less than 9/8 ulp (each step loses under 1 ulp and
+    scales the earlier loss by y^2 <= 1/9), so floor(Y/j) is under
+    9/8 + 1 < 3 ulps below the term.  The loop stops once Y is 0, i.e.
+    2^prec y^j < 9/8, so the terms left out sum to under
+    (9/8)/(j (1 - y^2)) < 2 ulps.
+    """
+    d = 2 * p + q
+    q2, d2 = q * q, d * d
+    y = (q << prec) // d
+    s, j = 0, 1
+    while y:
+        s += y // j
+        y = y * q2 // d2
+        j += 2
+    terms = j // 2
+    return 2 * s, 2 * (s + 3 * terms + 2)
+
+
+def _exp_fixed(x: int, prec: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^prec exp(x / 2^prec) <= hi, |x| <= 2^prec / 2.
+
+    Sums the Taylor series with every division rounded down.  The k-th
+    term's loss obeys |e_k| <= |e_(k-1)| |x|/(k 2^prec) + 1 < 2 ulps.  The
+    loop stops at a zero term, after which the terms left out total under
+    1 ulp, so the error of the sum stays below 2k + 1 ulps.
+    """
+    t = s = 1 << prec
+    k = 0
+    while t:
+        k += 1
+        t = t * x // (k << prec)
+        s += t
+    return s - 2 * k - 1, s + 2 * k + 1
+
+
+def _normalized_stage(p: int, q: int, stage: int) -> RatInterval:
+    """One fixed-point stage for n = p/q >= 1: dyadic endpoints over 2^prec."""
+    prec = (8 + 8 * stage) * 3322 // 1000 + _GUARD_BITS  # log2(10) ~ 3.322
+    # n multiplies the logarithm's error, so it gets p's bit length on top
+    shift = p.bit_length() + _GUARD_BITS
+    ln_lo, ln_hi = _ln1p_fixed(p, q, prec + shift)
+    den = q << shift
+    one = 1 << prec
+    # the exponent n ln(1+1/n) - 1 lies in [ln 2 - 1, 0), inside _exp_fixed's domain
+    x_lo = p * ln_lo // den - one
+    x_hi = -(-p * ln_hi // den) - one
+    lo, hi = _exp_fixed(x_lo, prec)
+    # exp(x_hi) = exp(x_lo) e^d with 0 <= d <= 1, and e^d <= 1 + 2d there;
+    # exp(x_lo) <= 1 since x_lo <= 0, so hi grows by at most 2 d in ulps
+    hi += 2 * (x_hi - x_lo)
+    return RatInterval(Fraction(lo, one), Fraction(hi, one))
+
+
+def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """Enclose (1/e)(1+1/n)^n = exp(n ln(1+1/n) - 1) for rational n >= 1.
+
+    Stage i works in integers over 2^prec with prec about (8+8i) log2(10)
+    plus guard bits, and its width is below 10^-(8+8i).  The stages are
+    intersected, so results for tighter targets are contained in results
+    for looser ones.  Endpoints are exact dyadic rationals.
+    """
+    n = Fraction(n)
+    if n < 1:
+        raise DomainError("normalized sequence value needs n >= 1")
+    p, q = n.numerator, n.denominator
+    return _refine(lambda stage: _normalized_stage(p, q, stage), target_width)
+
+
+def fraction_normalized_euler_interval(n: Scalar,
+                                       target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """The same enclosure from exact Fraction stages (slower, huge endpoints).
+
+    Stage i encloses the logarithm to width 10^-(6+8i)/n with
+    ``ln1p_to_width`` and the exponential to tail 10^-(8+8i).  The
+    refutation witness is printed with its exact endpoints in
+    certificate-format 1, so the prover keeps these stages; the tests use
+    them as a cross-check of the fixed-point stages.
+    """
+    n = Fraction(n)
+    if n < 1:
+        raise DomainError("normalized sequence value needs n >= 1")
+
+    def stage_enclosure(stage: int) -> RatInterval:
+        ln_iv = ln1p_to_width(n, Fraction(1, 10 ** (6 + 8 * stage)) / n)
+        return _exp_interval_adaptive(ln_iv.scale(n) - 1,
+                                      Fraction(1, 10 ** (8 + 8 * stage)))
+
+    return _refine(stage_enclosure, target_width)
 
 
 # ---------------------------------------------------------------------------

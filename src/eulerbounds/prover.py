@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, RatFunc, Scalar, rat_str
-from .enclosure import RatInterval, normalized_euler_interval
+from .enclosure import RatInterval, fraction_normalized_euler_interval
 from .series import BoundSpec, Variant, log_gap_series, lower_bound, upper_bound
 
 CERTIFICATE_FORMAT_VERSION = 1
@@ -247,7 +247,7 @@ def conclusion_from_checks(required_sign: int,
 def _search_refutation(bound: BoundSpec, side: str) -> Optional[Refutation]:
     for x in REFUTATION_GRID:
         value = bound.eval(x)
-        env = normalized_euler_interval(x, REFUTATION_WIDTH)
+        env = fraction_normalized_euler_interval(x, REFUTATION_WIDTH)
         if side == "upper" and env.lo >= value:
             return Refutation(x, env, value)
         if side == "lower" and env.hi <= value:

@@ -188,6 +188,16 @@ class TestDeterminism:
         second = run(*argv)
         assert first == second
 
+    def test_no_parse_state_leaks_between_calls(self):
+        first = run("check", "--n", "3")
+        run("check", "--n", "1", "2", "--target", "classic", "--format", "json",
+            "--digits", "5", "--width", "1e-8")
+        run("keller", "--n", "10", "--width", "1e-8", "--format", "csv", "--exact")
+        run("carleman", "--mode", "polya", "--N", "4", "--variant", "as-written")
+        run("nonsense")
+        assert run("check", "--n", "3") == first
+        assert run("check") == run("check", "--n", "1..20")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -200,6 +210,9 @@ class TestUsageErrors:
         ("carleman", "--mode", "sums", "--seq", "unknown:1"),
         ("expand", "--order", "2"),
         ("carleman", "--N", "0"),
+        ("keller", "--width", "0"),
+        ("keller", "--width", "-1"),
+        ("carleman", "--seq", "custom:1,2,3", "--N", "5"),
     ])
     def test_exit_64(self, argv, capsys):
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE

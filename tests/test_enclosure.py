@@ -7,15 +7,18 @@ test must trap them.
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds.enclosure import (DomainError, RatInterval, check_classic_at,
+from eulerbounds.enclosure import (DomainError, RatInterval, _exp_fixed,
+                                   _ln1p_fixed, check_classic_at,
                                    check_certified_at, euler_number_interval,
-                                   exp_interval, integer_nth_root,
-                                   ln1p_interval, ln1p_to_width,
-                                   normalized_euler_interval,
+                                   exp_interval,
+                                   fraction_normalized_euler_interval,
+                                   integer_nth_root, ln1p_interval,
+                                   ln1p_to_width, normalized_euler_interval,
                                    nth_root_interval)
 from eulerbounds.series import Variant
 
@@ -166,6 +169,82 @@ class TestNormalizedEuler:
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             normalized_euler_interval(F(1, 2))
+
+
+ORACLE_DIGITS = 200
+ORACLE_SLACK = F(1, 10**190)  # far above mpmath's error, far below any width
+POINTS = st.fractions(min_value=1, max_value=10**4, max_denominator=16)
+DIGITS = st.integers(min_value=8, max_value=120)
+
+
+def oracle_normalized(n: F) -> F:
+    """(1/e)(1+1/n)^n from mpmath at 200 digits, as an exact rational."""
+    with mpmath.workdps(ORACLE_DIGITS):
+        x = mpmath.mpf(n.numerator) / n.denominator
+        man, exp = mpmath.exp(x * mpmath.log1p(1 / x) - 1).man_exp
+    return F(man) * F(2) ** exp
+
+
+class TestNormalizedEulerOracle:
+    """The fixed-point stages against mpmath and against the Fraction stages."""
+
+    @given(POINTS, DIGITS)
+    @settings(max_examples=60, deadline=None)
+    def test_contains_oracle_within_width(self, n, digits):
+        iv = normalized_euler_interval(n, F(1, 10**digits))
+        assert iv.width <= F(1, 10**digits)
+        ref = oracle_normalized(n)
+        assert iv.lo - ORACLE_SLACK <= ref <= iv.hi + ORACLE_SLACK
+
+    @given(POINTS, DIGITS, DIGITS)
+    @settings(max_examples=60, deadline=None)
+    def test_nested_across_widths(self, n, d1, d2):
+        loose = normalized_euler_interval(n, F(1, 10 ** min(d1, d2)))
+        tight = normalized_euler_interval(n, F(1, 10 ** max(d1, d2)))
+        assert tight in loose
+
+    @given(POINTS, DIGITS)
+    @settings(max_examples=30, deadline=None)
+    def test_meets_fraction_stages(self, n, digits):
+        # the Fraction stages take up to a second near n = 2 at 1e-120, so
+        # they stop at 1e-40; both enclose the same value either way
+        fixed = normalized_euler_interval(n, F(1, 10**digits))
+        exact = fraction_normalized_euler_interval(n, F(1, 10 ** min(digits, 40)))
+        assert max(fixed.lo, exact.lo) <= min(fixed.hi, exact.hi)
+
+    @given(st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=4, max_value=400))
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_point_logarithm_brackets(self, a, b, prec):
+        p, q = max(a, b), min(a, b)
+        lo, hi = _ln1p_fixed(p, q, prec)
+        with mpmath.workdps(ORACLE_DIGITS):
+            exact = mpmath.log1p(mpmath.mpf(q) / p) * mpmath.mpf(2) ** prec
+            assert lo <= exact <= hi
+
+    @given(st.fractions(min_value=F(-1, 2), max_value=F(1, 2)),
+           st.integers(min_value=4, max_value=400))
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_point_exponential_brackets(self, v, prec):
+        x = v.numerator * 2**prec // v.denominator
+        lo, hi = _exp_fixed(x, prec)
+        with mpmath.workdps(ORACLE_DIGITS):
+            exact = mpmath.exp(mpmath.mpf(x) / 2**prec) * mpmath.mpf(2) ** prec
+            assert lo <= exact <= hi
+
+    def test_endpoint_bits_track_the_target(self):
+        # 1e-100 is 333 bits; the last stage adds its digit margin and guard bits
+        iv = normalized_euler_interval(1, F(1, 10**100))
+        assert max(iv.lo.denominator, iv.hi.denominator).bit_length() <= 400
+
+    def test_fraction_stages_domain_guard(self):
+        with pytest.raises(DomainError):
+            fraction_normalized_euler_interval(F(1, 2))
+
+    def test_unreachable_width_fails_after_the_last_stage(self):
+        with pytest.raises(ArithmeticError):
+            normalized_euler_interval(1, F(0))
 
 
 class TestChecks:
