@@ -9,18 +9,17 @@ All trusted computation is exact rational arithmetic; rigorous numeric
 claims use rational-endpoint enclosures with outward rounding.
 """
 
-from .algebra import (PoleError, Poly, RatFunc, poly_gcd, poly_taylor_shift,
-                      rat, rat_str, ratfunc_derivative, ratfunc_eval)
+from .algebra import PoleError, Poly, RatFunc, poly_gcd, rat, rat_str
 from .carleman import (CarlemanTail, ChainReport, MissingTailBound,
-                       TestSequence, WeightScheme, carleman_sums,
-                       classical_rhs, epsilon_term, polya_identities,
-                       telescoping_weight, termwise_weight_chain,
-                       weighted_tail_bound, weight, weight_over_e)
+                       TestSequence, WeightScheme, carleman_sums, epsilon_term,
+                       polya_identities, telescoping_weight,
+                       termwise_weight_chain, weighted_tail_bound, weight,
+                       weight_over_e)
 from .enclosure import (DEFAULT_WIDTH, CheckResult, DomainError, RatInterval,
-                        check_classic_at, check_certified_at,
-                        euler_number_interval, exp_interval, integer_nth_root,
-                        ln1p_interval, ln1p_to_width, normalized_euler_interval,
-                        nth_root_interval)
+                        RefinementExhausted, SoundnessError, check_classic_at,
+                        check_certified_at, euler_number_interval,
+                        integer_nth_root, ln1p_to_width,
+                        normalized_euler_interval, nth_root_interval)
 from .keller import (ConvergenceRow, DegreeMismatch, KellerTerm,
                      convergence_table, display_forms, keller_term,
                      sandwich_bounds, sandwich_limits, sandwich_ratfuncs)

@@ -413,17 +413,3 @@ class RatFunc:
             raise ValueError("denominator does not clear this rational function")
         return prod.num  # canonical form has monic (= 1) constant denominator
 
-
-def ratfunc_derivative(r: RatFunc) -> RatFunc:
-    """Exact derivative of a rational function (quotient rule)."""
-    return r.derivative()
-
-
-def ratfunc_eval(r: RatFunc, x: Scalar) -> Fraction:
-    """Exact evaluation; raises PoleError on a denominator zero."""
-    return r.eval(x)
-
-
-def poly_taylor_shift(p: Poly, c: Scalar) -> Poly:
-    """q with q(t) = p(t + c), exactly."""
-    return p.shift(c)

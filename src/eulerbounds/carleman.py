@@ -346,15 +346,6 @@ def carleman_sums(seq: TestSequence, scheme: WeightScheme, N: int,
     return geometric_mean_sum(seq, N, width), weighted_sum(seq, scheme, N, width)
 
 
-def classical_rhs(seq: TestSequence, N: int,
-                  width: Fraction = DEFAULT_WIDTH) -> RatInterval:
-    """e * sum_{n<=N} a_n, the unimproved comparison point."""
-    total = Fraction(0)
-    for n in range(1, N + 1):
-        total += seq.term(n)
-    return euler_number_interval(width / (total + 1)).scale(total)
-
-
 # ---------------------------------------------------------------------------
 # generalized weighted bound with explicit tails
 # ---------------------------------------------------------------------------

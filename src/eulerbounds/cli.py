@@ -26,7 +26,8 @@ from typing import Optional, Sequence
 from . import carleman as carl
 from . import keller as kel
 from .algebra import rat_str
-from .enclosure import check_classic_at, check_certified_at
+from .enclosure import (RefinementExhausted, SoundnessError, check_classic_at,
+                        check_certified_at)
 from .prover import match_reference_polynomials, prove_bound, render_certificate
 from .series import (Variant, bare_optimal_bound, expand_bound_gap,
                      expand_relative_error, lower_bound, solve_optimal_params,
@@ -446,9 +447,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SoundnessError as exc:
+        # a ValueError, but a fault of the enclosures, not of the input
+        print(f"failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except (ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RefinementExhausted as exc:
+        # the last stage could not decide; nothing was refuted
+        print(f"undecided: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
     except ArithmeticError as exc:
         # e.g. the doubled-term variant's inverted sandwich: a failed
         # mathematical claim, not a usage problem

@@ -1,43 +1,34 @@
-"""Rigorous rational-endpoint enclosures of (1/e)(1+1/x)^x and friends.
+"""Rigorous rational-endpoint enclosures of (1/e)(1+1/n)^n and friends.
 
 The trusted path is exact: every interval endpoint is a Fraction, every
 rounding is outward, and no binary floating point is involved anywhere.
 
-``normalized_euler_interval`` works in fixed point.  A stage with digit
-target d holds each quantity as an integer mantissa m standing for
-m / 2^prec, prec = d log2 10 plus 16 guard bits, and rounds every
-division down, carrying an explicit bound in ulps (units of 2^-prec) on
-what the floors lost:
+Every enclosure of e and of the normalized value comes from one
+fixed-point kernel.  A stage with digit target d holds each quantity as
+an integer mantissa m standing for m / 2^prec, prec = d log2 10 plus 16
+guard bits, and rounds every division down, carrying an explicit bound
+in ulps (units of 2^-prec) on what the floors lost:
 
 * ln(1 + 1/n) for n = p/q is 2 atanh(y), y = q/(2p+q) <= 1/3, summed at
   prec plus the bit length of p plus guard bits (n scales its error).
   Each term sits under 3 ulps below its exact value, and the terms left
   out once the running power reaches 0 total under 2 ulps.
-* exp of the exponent n ln(1+1/n) - 1, which lies in [ln 2 - 1, 0), is a
-  Taylor sum whose k-th term is off by at most 2 ulps (the exponent's
-  size stays below 1/2), and the terms left out after the first zero
-  term total under 1 ulp.  The upper endpoint uses exp(x + d) <=
-  exp(x) + 2d for 0 <= d <= 1 and x <= 0, so the exponential is summed
-  once per stage.
+* exp(x) for |x| <= 1/2 is a Taylor sum whose k-th term is off by at
+  most 2 ulps, and the terms left out after the first zero term total
+  under 1 ulp.  The normalized value takes it at the exponent
+  n ln(1+1/n) - 1, which lies in [ln 2 - 1, 0); its upper endpoint uses
+  exp(x + d) <= exp(x) + 2d for 0 <= d <= 1 and x <= 0, so the
+  exponential is summed once per stage.  e is exp(1/2) squared.
 
 Endpoints are therefore exact dyadic rationals whose size follows the
-request (361 bits at width 1e-100).  A fixed
-stage schedule with cumulative intersection makes a tighter request
-return a subinterval of a looser one.
+request (361 bits for the normalized value at width 1e-100).  A fixed
+stage schedule with cumulative intersection (``_refine``) makes a
+tighter request return a subinterval of a looser one.
 
-The older stages in exact Fractions stay as
-``fraction_normalized_euler_interval``: the prover prints the refutation
-witness's exact endpoints in certificate-format 1, so it keeps using
-them, and the tests cross-check the fixed-point stages against them.
-They and the other enclosures are built from
-
-* alternating partial sums bracketing ln(1+1/n) (``ln1p_interval``),
-* the all-positive-terms atanh form of the same logarithm with an
-  explicit geometric tail bound (``ln1p_to_width``) -- the alternating
-  form converges like 1/k at n = 1, far too slowly for the widths here;
-* Taylor polynomials for exp with the explicit remainder bound
-  |R| <= |s|^(m+1) / ((m+1)! (1-|s|))  on |s| <= 1/2 (``exp_interval``);
-* integer n-th roots for enclosing k-th roots of rationals.
+The one exception is ``fraction_normalized_euler_interval``: exact
+Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp)
+kept for the refutation witness, whose exact endpoints the prover prints.
+Integer n-th roots enclose k-th roots of rationals.
 """
 
 from __future__ import annotations
@@ -54,6 +45,14 @@ DEFAULT_WIDTH = Fraction(1, 10**30)
 
 class DomainError(ValueError):
     """Argument outside the guaranteed-convergence domain of an enclosure."""
+
+
+class SoundnessError(ValueError):
+    """Two enclosures of the same value are disjoint: one of them is wrong."""
+
+
+class RefinementExhausted(ArithmeticError):
+    """The last refinement stage still misses the requested width."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class RatInterval:
     def intersect(self, other: "RatInterval") -> "RatInterval":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         if lo > hi:
-            raise ValueError("intersection of disjoint enclosures (soundness bug)")
+            raise SoundnessError("intersection of disjoint enclosures (soundness bug)")
         return RatInterval(lo, hi)
 
     def to_strings(self) -> tuple[str, str]:
@@ -135,152 +134,15 @@ class RatInterval:
 
 
 # ---------------------------------------------------------------------------
-# logarithm enclosures
-# ---------------------------------------------------------------------------
-
-
-def ln1p_interval(n: Scalar, k: int) -> RatInterval:
-    """Bracket ln(1 + 1/n) between consecutive partial sums S_k, S_{k+1}
-    of sum_j (-1)^(j+1) / (j n^j).
-
-    For n >= 1 the terms decrease strictly in absolute value, so the
-    partial sums alternate around the limit and the width is at most
-    1/((k+1) n^(k+1)).
-    """
-    n = Fraction(n)
-    if n < 1:
-        raise DomainError("alternating bracket needs n >= 1")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    s = Fraction(0)
-    sign = 1
-    npow = Fraction(1)
-    for j in range(1, k + 1):
-        npow *= n
-        s += Fraction(sign, j) / npow
-        sign = -sign
-    nxt = s + Fraction(sign, k + 1) / (npow * n)
-    return RatInterval(min(s, nxt), max(s, nxt))
-
-
-def ln1p_to_width(n: Scalar, width: Fraction) -> RatInterval:
-    """Enclose ln(1 + 1/n) to the requested width for any rational n >= 1.
-
-    Writes 1 + 1/n = (p+q)/p for n = p/q and uses
-    ln((1+y)/(1-y)) = 2 atanh(y) with y = q/(2p+q) <= 1/3.  All series
-    terms are positive, so the partial sum is a lower endpoint, and the
-    tail after the y^J term is at most y^(J+2) / ((J+2)(1 - y^2)).
-    Successive refinements are nested.
-    """
-    n = Fraction(n)
-    if n < 1:
-        raise DomainError("logarithm enclosure needs n >= 1")
-    p, q = n.numerator, n.denominator
-    y = Fraction(q, 2 * p + q)
-    y2 = y * y
-    one_minus = 1 - y2
-    s = Fraction(0)
-    yj = y
-    j = 1
-    while True:
-        s += yj / j
-        yj *= y2
-        tail = yj / ((j + 2) * one_minus)
-        if 2 * tail <= width:
-            return RatInterval(2 * s, 2 * (s + tail))
-        j += 2
-
-
-# ---------------------------------------------------------------------------
-# exponential enclosures
-# ---------------------------------------------------------------------------
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def _exp_taylor(v: Fraction, m: int) -> Fraction:
-    term = Fraction(1)
-    acc = Fraction(1)
-    for i in range(1, m + 1):
-        term = term * v / i
-        acc += term
-    return acc
-
-
-def exp_interval(s: RatInterval, m: int) -> RatInterval:
-    """Enclose exp over s via the degree-m Taylor polynomial.
-
-    Requires |s.lo|, |s.hi| <= 1/2 and m >= 2.  The remainder bound
-    |R| <= a^(m+1) / ((m+1)! (1-a)) with a = max(|lo|, |hi|) is applied
-    uniformly at both endpoints, which keeps the construction monotone:
-    s inside s' gives a result inside the result for s'.
-    """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    a = max(abs(s.lo), abs(s.hi))
-    if a > Fraction(1, 2):
-        raise DomainError("exp enclosure needs |endpoints| <= 1/2")
-    rem = a ** (m + 1) / (_factorial(m + 1) * (1 - a))
-    return RatInterval(_exp_taylor(s.lo, m) - rem, _exp_taylor(s.hi, m) + rem)
-
-
-def _exp_taylor_adaptive(v: Fraction, target: Fraction) -> tuple[Fraction, Fraction]:
-    """(partial sum, tail bound) with tail bound <= target; |v| < 1."""
-    term = Fraction(1)
-    acc = Fraction(1)
-    av = abs(v)
-    i = 0
-    while True:
-        i += 1
-        term = term * v / i
-        acc += term
-        # remaining terms are dominated by a geometric series of ratio
-        # av/(i+1) starting at |term| * av/(i+1)
-        ratio = av / (i + 1)
-        tail = abs(term) * ratio / (1 - ratio)
-        if tail <= target:
-            return acc, tail
-
-
-def _exp_interval_adaptive(s: RatInterval, target: Fraction) -> RatInterval:
-    a = max(abs(s.lo), abs(s.hi))
-    if a > Fraction(1, 2):
-        raise DomainError("exp enclosure needs |endpoints| <= 1/2")
-    lo_sum, lo_tail = _exp_taylor_adaptive(s.lo, target)
-    hi_sum, hi_tail = _exp_taylor_adaptive(s.hi, target)
-    rem = max(lo_tail, hi_tail)
-    return RatInterval(lo_sum - rem, hi_sum + rem)
-
-
-def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
-    """Enclose e as exp(1/2) squared, refined until the width bound holds."""
-    half = RatInterval.point(Fraction(1, 2))
-    best: Optional[RatInterval] = None
-    for stage in range(64):
-        target = Fraction(1, 10 ** (8 + 8 * stage))
-        cur = _exp_interval_adaptive(half, target)
-        cur = RatInterval(cur.lo * cur.lo, cur.hi * cur.hi)
-        best = cur if best is None else best.intersect(cur)
-        if best.width <= width:
-            return best
-    raise ArithmeticError("exp(1/2) refinement failed to reach the target width")
-
-
-# ---------------------------------------------------------------------------
-# the normalized sequence value  (1/e)(1+1/n)^n
+# the fixed-point kernel
 # ---------------------------------------------------------------------------
 
 
 # Each stage i aims at width 10^-(8+8i); the final width test and the
-# 64-stage cap are shared by both stage kinds below.
+# 64-stage cap are shared by every stage kind below.
 _STAGES = 64
 # Extra bits over a stage's digit target: they absorb the few-ulp rounding
-# bounds below (a stage's result spans well under 2^12 ulps up to its last
+# bounds below (a stage's result spans under 2^12 ulps up to its last
 # stage, 512 digits).
 _GUARD_BITS = 16
 
@@ -299,7 +161,12 @@ def _refine(stage_enclosure: Callable[[int], RatInterval],
         best = cur if best is None else best.intersect(cur)
         if best.width <= target_width:
             return best
-    raise ArithmeticError("enclosure refinement failed to reach the target width")
+    raise RefinementExhausted("enclosure refinement failed to reach the target width")
+
+
+def _stage_prec(stage: int) -> int:
+    """Fraction bits of stage i: its digit target 8+8i in bits, plus guard bits."""
+    return (8 + 8 * stage) * 3322 // 1000 + _GUARD_BITS  # log2(10) ~ 3.322
 
 
 def _ln1p_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
@@ -342,9 +209,35 @@ def _exp_fixed(x: int, prec: int) -> tuple[int, int]:
     return s - 2 * k - 1, s + 2 * k + 1
 
 
+# ---------------------------------------------------------------------------
+# e and the normalized sequence value  (1/e)(1+1/n)^n
+# ---------------------------------------------------------------------------
+
+
+def _euler_stage(stage: int) -> RatInterval:
+    """One fixed-point stage for e = exp(1/2)^2: dyadic endpoints over 2^(2 prec).
+
+    Squaring the positive bracket of exp(1/2) keeps its order, and the
+    width (hi - lo)(hi + lo) / 2^(2 prec) stays under 8 (2k + 1) ulps.
+    """
+    prec = _stage_prec(stage)
+    lo, hi = _exp_fixed(1 << (prec - 1), prec)
+    one = 1 << 2 * prec
+    return RatInterval(Fraction(lo * lo, one), Fraction(hi * hi, one))
+
+
+def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """Enclose e as exp(1/2) squared, refined until the width bound holds.
+
+    The stages are fixed point and intersected like those of
+    ``normalized_euler_interval``: dyadic endpoints, nested results.
+    """
+    return _refine(_euler_stage, width)
+
+
 def _normalized_stage(p: int, q: int, stage: int) -> RatInterval:
     """One fixed-point stage for n = p/q >= 1: dyadic endpoints over 2^prec."""
-    prec = (8 + 8 * stage) * 3322 // 1000 + _GUARD_BITS  # log2(10) ~ 3.322
+    prec = _stage_prec(stage)
     # n multiplies the logarithm's error, so it gets p's bit length on top
     shift = p.bit_length() + _GUARD_BITS
     ln_lo, ln_hi = _ln1p_fixed(p, q, prec + shift)
@@ -373,6 +266,63 @@ def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH)
         raise DomainError("normalized sequence value needs n >= 1")
     p, q = n.numerator, n.denominator
     return _refine(lambda stage: _normalized_stage(p, q, stage), target_width)
+
+
+# ---------------------------------------------------------------------------
+# exact Fraction stages (the printed refutation witness)
+# ---------------------------------------------------------------------------
+
+
+def ln1p_to_width(n: Scalar, width: Fraction) -> RatInterval:
+    """Enclose ln(1 + 1/n) to the requested width for any rational n >= 1.
+
+    Writes 1 + 1/n = (p+q)/p for n = p/q and uses
+    ln((1+y)/(1-y)) = 2 atanh(y) with y = q/(2p+q) <= 1/3.  All series
+    terms are positive, so the partial sum is a lower endpoint, and the
+    tail after the y^J term is at most y^(J+2) / ((J+2)(1 - y^2)).
+    Successive refinements are nested.
+    """
+    n = Fraction(n)
+    if n < 1:
+        raise DomainError("logarithm enclosure needs n >= 1")
+    p, q = n.numerator, n.denominator
+    y = Fraction(q, 2 * p + q)
+    y2 = y * y
+    one_minus = 1 - y2
+    s = Fraction(0)
+    yj = y
+    j = 1
+    while True:
+        s += yj / j
+        yj *= y2
+        tail = yj / ((j + 2) * one_minus)
+        if 2 * tail <= width:
+            return RatInterval(2 * s, 2 * (s + tail))
+        j += 2
+
+
+def _exp_interval_adaptive(s: RatInterval, target: Fraction) -> RatInterval:
+    """Enclose exp over s, |s| <= 1/2, by Taylor sums at both endpoints
+    summed until their tail bounds fall to target."""
+    if max(abs(s.lo), abs(s.hi)) > Fraction(1, 2):
+        raise DomainError("exp enclosure needs |endpoints| <= 1/2")
+    sums, rem = [], Fraction(0)
+    for v in (s.lo, s.hi):
+        term = acc = Fraction(1)
+        i = 0
+        while True:
+            i += 1
+            term = term * v / i
+            acc += term
+            # remaining terms are dominated by a geometric series of ratio
+            # |v|/(i+1) starting at |term| * |v|/(i+1)
+            ratio = abs(v) / (i + 1)
+            tail = abs(term) * ratio / (1 - ratio)
+            if tail <= target:
+                break
+        sums.append(acc)
+        rem = max(rem, tail)
+    return RatInterval(sums[0] - rem, sums[1] + rem)
 
 
 def fraction_normalized_euler_interval(n: Scalar,

@@ -32,7 +32,7 @@ from typing import Optional
 
 from .algebra import Poly, RatFunc, Scalar, rat_str
 from .enclosure import RatInterval, fraction_normalized_euler_interval
-from .series import BoundSpec, Variant, log_gap_series, lower_bound, upper_bound
+from .series import BoundSpec, log_gap_series
 
 CERTIFICATE_FORMAT_VERSION = 1
 MAX_BISECTION_DEPTH = 12
@@ -296,14 +296,6 @@ def prove_bound(bound: BoundSpec, side: str) -> ProofReport:
                            limit_ok, "refuted", refutation)
     return ProofReport(bound, side, h, certificate, bound_positive,
                        limit_ok, "inconclusive")
-
-
-def prove_lower() -> ProofReport:
-    return prove_bound(lower_bound(), "lower")
-
-
-def prove_upper(variant: Variant = Variant.DEDUP) -> ProofReport:
-    return prove_bound(upper_bound(variant), "upper")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from exponent pairs to rationals (``ParamPoly``).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -234,11 +235,6 @@ class Series:
             power = power * c
         return Series(out)
 
-    def truncate(self, order: int) -> "Series":
-        if order > self.order:
-            raise ValueError("cannot extend a series by truncation")
-        return Series(self.coeffs[: order + 1])
-
     def map(self, fn) -> "Series":
         return Series([fn(c) for c in self.coeffs])
 
@@ -418,17 +414,21 @@ OPTIMAL_A = Fraction(5, 12)
 OPTIMAL_B = Fraction(11, 12)
 
 
+# Cached: a BoundSpec is frozen, so every caller can share one instance.
+@functools.cache
 def bare_optimal_bound() -> BoundSpec:
     """(x + 5/12)/(x + 11/12) with no inverse-power corrections."""
     return BoundSpec(OPTIMAL_A, OPTIMAL_B)
 
 
+@functools.cache
 def lower_bound() -> BoundSpec:
     """The certified lower bound: corrections through 1/x^5."""
     return BoundSpec(OPTIMAL_A, OPTIMAL_B,
                      [(GAP_COEFF_3, 3), (GAP_COEFF_4, 4), (GAP_COEFF_5, 5)])
 
 
+@functools.cache
 def upper_bound(variant: Variant = Variant.DEDUP) -> BoundSpec:
     """The upper bound; AS_WRITTEN doubles the 1/x^5 correction."""
     corr = [(GAP_COEFF_3, 3), (GAP_COEFF_4, 4), (GAP_COEFF_5, 5),

@@ -26,6 +26,19 @@ from .series import (ParamPoly, Variant, bare_optimal_bound,
 WIDTH_30 = Fraction(1, 10**30)
 
 
+def sci_str(q: Fraction) -> str:
+    """q >= 0 as ``format(x, ".3e")`` prints it, rounded half to even from
+    the exact value: the first exponent, counting up from one below
+    log10(q), at which q rounds to at most four digits."""
+    if q == 0:
+        return "0.000e+00"
+    exp = len(str(q.numerator)) - len(str(q.denominator)) - 1
+    while (mantissa := round(q / Fraction(10) ** (exp - 3))) >= 10**4:
+        exp += 1
+    digits = str(mantissa)
+    return f"{digits[0]}.{digits[1:]}e{exp:+03d}"
+
+
 def check_relative_error_expansion() -> tuple[bool, str]:
     """The symbolic error expansion has the expected first three coefficients."""
     w = expand_relative_error(3)
@@ -115,7 +128,7 @@ def check_limit_numerics() -> tuple[bool, str]:
     return contained and near, (
         "containment at n=10,100,1000: "
         f"{[row.contained for row in rows]}; "
-        f"|midpoint(1000) - 1/24| = {float(abs(final.midpoint - Fraction(1, 24))):.3e}")
+        f"|midpoint(1000) - 1/24| = {sci_str(abs(final.midpoint - Fraction(1, 24)))}")
 
 
 def check_telescoping_identities() -> tuple[bool, str]:

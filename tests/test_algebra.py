@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds.algebra import (PoleError, Poly, RatFunc, poly_gcd,
-                                 poly_taylor_shift, rat, rat_str)
+from eulerbounds.algebra import PoleError, Poly, RatFunc, poly_gcd, rat, rat_str
 
 X = Poly.x()
 
@@ -48,14 +47,14 @@ class TestPoly:
         assert q == P(1, 1) and r.is_zero
 
     def test_shift_square(self):
-        assert poly_taylor_shift(P(0, 0, 1), 1) == P(1, 2, 1)
+        assert P(0, 0, 1).shift(1) == P(1, 2, 1)
 
     def test_shift_identity(self):
         p = P(3, -2, F(1, 3))
-        assert poly_taylor_shift(p, 0) == p
+        assert p.shift(0) == p
 
     def test_shift_moves_root_to_origin(self):
-        assert poly_taylor_shift(P(-1, 1), 1) == P(0, 1)
+        assert P(-1, 1).shift(1) == P(0, 1)
 
     def test_eval_horner(self):
         assert P(1, 2, 3).eval(F(1, 2)) == F(1) + 1 + F(3, 4)

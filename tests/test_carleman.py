@@ -5,11 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from eulerbounds.carleman import (MissingTailBound, TestSequence,
-                                  WeightScheme, carleman_sums, classical_rhs,
-                                  epsilon_term, polya_identities,
-                                  telescoping_weight, termwise_weight_chain,
-                                  weighted_tail_bound, weight, weight_over_e)
-from eulerbounds.enclosure import RatInterval, integer_nth_root
+                                  WeightScheme, carleman_sums, epsilon_term,
+                                  polya_identities, telescoping_weight,
+                                  termwise_weight_chain, weighted_tail_bound,
+                                  weight, weight_over_e)
+from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval,
+                                   euler_number_interval, integer_nth_root)
 from eulerbounds.series import Variant
 
 E_CONST = F("2.71828182845904523536028747135266249775724709")
@@ -162,7 +163,8 @@ class TestCarlemanSums:
                                * seq.term(n) for n in range(1, N + 1))
                 assert weighted < total  # termwise (12n+5)/(12n+11) < 1
                 _, rhs = carleman_sums(seq, WeightScheme.simple(), N)
-                classical = classical_rhs(seq, N)
+                # e * sum a_n, the unimproved comparison point
+                classical = euler_number_interval(DEFAULT_WIDTH / (total + 1)).scale(total)
                 assert rhs.lo < classical.hi
 
     @pytest.mark.parametrize("scheme", [WeightScheme.polya(),

@@ -4,8 +4,9 @@ import io
 
 import pytest
 
-from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_USAGE, dec_ceil,
-                             dec_floor, dec_trunc, fmt_rat, main,
+from eulerbounds import enclosure
+from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
+                             dec_ceil, dec_floor, dec_trunc, fmt_rat, main,
                              parse_indices)
 from fractions import Fraction as F
 
@@ -217,3 +218,19 @@ class TestUsageErrors:
     def test_exit_64(self, argv, capsys):
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+
+class TestEnclosureFailures:
+    def test_soundness_failure_is_not_a_usage_error(self, monkeypatch, capsys):
+        disjoint = [enclosure.RatInterval(0, 1), enclosure.RatInterval(2, 3)]
+        monkeypatch.setattr(enclosure, "_normalized_stage",
+                            lambda p, q, stage: disjoint[min(stage, 1)])
+        assert main(["check", "--n", "1"], out=io.StringIO()) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("failed:") and "soundness" in err
+
+    def test_exhausted_stages_are_undecided(self, capsys):
+        # the last stage reaches 1e-512, so 1e-600 cannot be decided
+        assert main(["check", "--n", "1", "--width", "1e-600"],
+                    out=io.StringIO()) == EXIT_UNDECIDED
+        assert capsys.readouterr().err.startswith("undecided:")

@@ -12,19 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds.enclosure import (DomainError, RatInterval, _exp_fixed,
+from eulerbounds.enclosure import (DomainError, RatInterval,
+                                   RefinementExhausted, _exp_fixed,
                                    _ln1p_fixed, check_classic_at,
                                    check_certified_at, euler_number_interval,
-                                   exp_interval,
                                    fraction_normalized_euler_interval,
-                                   integer_nth_root, ln1p_interval,
-                                   ln1p_to_width, normalized_euler_interval,
-                                   nth_root_interval)
+                                   integer_nth_root, ln1p_to_width,
+                                   normalized_euler_interval, nth_root_interval)
 from eulerbounds.series import Variant
 
 LN2 = F("0.693147180559945309417232121458176568075500134")
 E_CONST = F("2.71828182845904523536028747135266249775724709")
-EXP_MINUS_HALF = F("0.606530659712633423603799534991180453441918135")
 NORMALIZED_AT = {  # (1/e)(1+1/n)^n for the oracle spot checks
     1: F("0.735758882342884643191047540322921734891622262"),
     2: F("0.827728742635745223589928482863286951753075045"),
@@ -35,6 +33,30 @@ TWO_OVER_E = NORMALIZED_AT[1]
 E10_OVER_E = NORMALIZED_AT[10]
 
 W30 = F(1, 10**30)
+
+
+def ln1p_interval(n, k: int) -> RatInterval:
+    """Bracket ln(1 + 1/n) between consecutive partial sums S_k, S_{k+1}
+    of sum_j (-1)^(j+1) / (j n^j): the oracle for ``ln1p_to_width``.
+
+    For n >= 1 the terms decrease strictly in absolute value, so the
+    partial sums alternate around the limit and the width is at most
+    1/((k+1) n^(k+1)).
+    """
+    n = F(n)
+    if n < 1:
+        raise DomainError("alternating bracket needs n >= 1")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    s = F(0)
+    sign = 1
+    npow = F(1)
+    for j in range(1, k + 1):
+        npow *= n
+        s += F(sign, j) / npow
+        sign = -sign
+    nxt = s + F(sign, k + 1) / (npow * n)
+    return RatInterval(min(s, nxt), max(s, nxt))
 
 
 class TestRatInterval:
@@ -105,31 +127,7 @@ class TestLogEnclosures:
 
 
 class TestExpInterval:
-    def test_exp_zero_is_exact(self):
-        assert exp_interval(RatInterval.point(0), 5) == RatInterval(1, 1)
-
-    def test_exp_minus_half(self):
-        iv = exp_interval(RatInterval.point(F(-1, 2)), 10)
-        assert iv.width < F(1, 10**6)
-        assert iv.lo < EXP_MINUS_HALF < iv.hi
-
-    def test_domain_guard(self):
-        with pytest.raises(DomainError):
-            exp_interval(RatInterval(0, F(2, 3)), 5)
-        with pytest.raises(ValueError):
-            exp_interval(RatInterval.point(0), 1)
-
-    @given(st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=40),
-           st.fractions(min_value=F(-1, 2), max_value=F(1, 2), max_denominator=40),
-           st.fractions(min_value=0, max_value=F(1, 8), max_denominator=40),
-           st.integers(min_value=2, max_value=8))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_containment(self, lo, hi, shrink, m):
-        if lo > hi:
-            lo, hi = hi, lo
-        outer = RatInterval(lo, hi)
-        inner = RatInterval(min(lo + shrink, hi), hi)
-        assert exp_interval(inner, m) in exp_interval(outer, m)
+    """e as exp(1/2) squared from the fixed-point exponential."""
 
     def test_euler_number(self):
         iv = euler_number_interval(W30)
@@ -245,6 +243,49 @@ class TestNormalizedEulerOracle:
     def test_unreachable_width_fails_after_the_last_stage(self):
         with pytest.raises(ArithmeticError):
             normalized_euler_interval(1, F(0))
+
+
+E_DIGITS = st.integers(min_value=8, max_value=300)
+
+
+def oracle_e(digits: int) -> F:
+    """e from mpmath at three times the digits, as an exact rational."""
+    with mpmath.workdps(3 * digits):
+        man, exp = (+mpmath.e).man_exp
+    return F(man) * F(2) ** exp
+
+
+class TestEulerNumberOracle:
+    """e from the fixed-point stages against mpmath, widths 1e-8 to 1e-300."""
+
+    @given(E_DIGITS)
+    @settings(max_examples=40, deadline=None)
+    def test_contains_oracle_within_width(self, digits):
+        iv = euler_number_interval(F(1, 10**digits))
+        assert iv.width <= F(1, 10**digits)
+        slack = F(1, 10 ** (3 * digits - 1))  # above mpmath's error, far below the width
+        assert iv.lo - slack <= oracle_e(digits) <= iv.hi + slack
+
+    @given(E_DIGITS, E_DIGITS)
+    @settings(max_examples=40, deadline=None)
+    def test_nested_across_widths(self, d1, d2):
+        loose = euler_number_interval(F(1, 10 ** min(d1, d2)))
+        tight = euler_number_interval(F(1, 10 ** max(d1, d2)))
+        assert tight in loose
+
+    @given(E_DIGITS)
+    @settings(max_examples=40, deadline=None)
+    def test_denominator_bits_track_the_target(self, digits):
+        iv = euler_number_interval(F(1, 10**digits))
+        bits = max(iv.lo.denominator, iv.hi.denominator).bit_length()
+        target = (10**digits).bit_length()
+        # the last stage's digit target is at most 7 digits (24 bits) past the
+        # request and adds 16 guard bits; squaring exp(1/2) doubles the lot
+        assert target <= bits <= 2 * (target + 24 + 16) + 1
+
+    def test_unreachable_width_fails_after_the_last_stage(self):
+        with pytest.raises(RefinementExhausted):
+            euler_number_interval(F(0))
 
 
 class TestChecks:
