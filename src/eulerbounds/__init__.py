@@ -10,11 +10,9 @@ claims use rational-endpoint enclosures with outward rounding.
 """
 
 from .algebra import PoleError, Poly, RatFunc, poly_gcd, rat, rat_str
-from .carleman import (CarlemanTail, ChainReport, MissingTailBound,
-                       TestSequence, WeightScheme, carleman_sums, epsilon_term,
-                       polya_identities, telescoping_weight,
-                       termwise_weight_chain, weighted_tail_bound, weight,
-                       weight_over_e)
+from .carleman import (ChainReport, TestSequence, WeightScheme, carleman_sums,
+                       epsilon_term, polya_identities, telescoping_weight,
+                       termwise_weight_chain, weight, weight_over_e)
 from .enclosure import (DEFAULT_WIDTH, CheckResult, DomainError, RatInterval,
                         RefinementExhausted, SoundnessError, check_classic_at,
                         check_certified_at, euler_number_interval,

@@ -297,10 +297,6 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly.x())
-
-    @classmethod
     def constant(cls, c: Scalar) -> "RatFunc":
         return cls(Poly.constant(c))
 

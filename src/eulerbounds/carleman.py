@@ -30,10 +30,6 @@ from .enclosure import (DEFAULT_WIDTH, RatInterval, euler_number_interval,
 from .series import Variant, bare_optimal_bound, upper_bound
 
 
-class MissingTailBound(ValueError):
-    """Custom weights have no closed-form tail and none was supplied."""
-
-
 # ---------------------------------------------------------------------------
 # weight schemes and test sequences
 # ---------------------------------------------------------------------------
@@ -43,9 +39,8 @@ class MissingTailBound(ValueError):
 class WeightScheme:
     """One of the weight families compared by the inequality reports."""
 
-    kind: str  # "polya" | "simple" | "refined" | "custom"
+    kind: str  # "polya" | "simple" | "refined"
     variant: Optional[Variant] = None
-    table: Optional[tuple[Fraction, ...]] = None
 
     @classmethod
     def polya(cls) -> "WeightScheme":
@@ -58,13 +53,6 @@ class WeightScheme:
     @classmethod
     def refined(cls, variant: Variant = Variant.DEDUP) -> "WeightScheme":
         return cls("refined", variant=variant)
-
-    @classmethod
-    def custom(cls, weights: Iterable[Fraction]) -> "WeightScheme":
-        tbl = tuple(Fraction(w) for w in weights)
-        if any(w <= 0 for w in tbl):
-            raise ValueError("custom weights must be strictly positive")
-        return cls("custom", table=tbl)
 
     def describe(self) -> str:
         if self.kind == "refined":
@@ -203,11 +191,8 @@ def weight(scheme: WeightScheme, n: int,
         raise ValueError("indices start at 1")
     if scheme.kind == "polya":
         return Fraction((n + 1) ** n, n**n)
-    if scheme.kind in ("simple", "refined"):
-        ratio = weight_over_e(scheme, n)
-        return euler_number_interval(width / (ratio + 1)).scale(ratio)
-    raise ValueError("custom weights carry no closed effective form; "
-                     "use weighted_tail_bound")
+    ratio = weight_over_e(scheme, n)
+    return euler_number_interval(width / (ratio + 1)).scale(ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -303,22 +288,21 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
 # ---------------------------------------------------------------------------
 
 
-def geometric_mean_sum(seq: TestSequence, N: int,
-                       width: Fraction = DEFAULT_WIDTH) -> RatInterval:
-    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to the given width."""
+def geometric_mean_sum(seq: TestSequence, N: int) -> RatInterval:
+    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to DEFAULT_WIDTH."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    per_term = width / N
+    per_term = DEFAULT_WIDTH / N
     lhs = RatInterval.point(0)
     for n in range(1, N + 1):
         lhs = lhs + seq.geometric_mean_enclosure(n, per_term)
     return lhs
 
 
-def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int,
-                 width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval:
     """Enclose rhs = sum_{n<=N} weight(n) a_n: exact for the telescoping
-    family, an e-interval multiple for the simple and refined ones."""
+    family, an e-interval multiple of width DEFAULT_WIDTH for the simple
+    and refined ones."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if scheme.kind == "polya":
@@ -326,16 +310,14 @@ def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int,
         for n in range(1, N + 1):
             total += Fraction((n + 1) ** n, n**n) * seq.term(n)
         return RatInterval.point(total)
-    if scheme.kind in ("simple", "refined"):
-        total = Fraction(0)
-        for n in range(1, N + 1):
-            total += weight_over_e(scheme, n) * seq.term(n)
-        return euler_number_interval(width / (total + 1)).scale(total)
-    raise ValueError("custom schemes are evaluated by weighted_tail_bound")
+    total = Fraction(0)
+    for n in range(1, N + 1):
+        total += weight_over_e(scheme, n) * seq.term(n)
+    return euler_number_interval(DEFAULT_WIDTH / (total + 1)).scale(total)
 
 
-def carleman_sums(seq: TestSequence, scheme: WeightScheme, N: int,
-                  width: Fraction = DEFAULT_WIDTH) -> tuple[RatInterval, RatInterval]:
+def carleman_sums(seq: TestSequence, scheme: WeightScheme,
+                  N: int) -> tuple[RatInterval, RatInterval]:
     """(lhs, rhs) enclosures of the finite-N truncations
 
         lhs = sum_{n<=N} (a_1...a_n)^(1/n),    rhs = sum_{n<=N} weight(n) a_n.
@@ -343,78 +325,5 @@ def carleman_sums(seq: TestSequence, scheme: WeightScheme, N: int,
     Both are rigorous; comparing lhs.hi <= rhs.lo is therefore a rigorous
     check of the truncated inequality.
     """
-    return geometric_mean_sum(seq, N, width), weighted_sum(seq, scheme, N, width)
+    return geometric_mean_sum(seq, N), weighted_sum(seq, scheme, N)
 
-
-# ---------------------------------------------------------------------------
-# generalized weighted bound with explicit tails
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CarlemanTail:
-    """x_n = sum_{k>=n} 1/(k (c_1...c_k)^(1/k)), exact when a closed form
-    or an exact remainder made it so."""
-
-    n: int
-    value: RatInterval
-    exact: bool
-
-
-def weighted_tail_bound(scheme: WeightScheme, seq: TestSequence, N: int,
-                   tail_remainder: Union[RatInterval, Fraction, None] = None,
-                   width: Fraction = DEFAULT_WIDTH,
-                   ) -> tuple[RatInterval, list[CarlemanTail]]:
-    """The generalized weighted bound rhs = sum_{n<=N} c_n x_n a_n.
-
-    For the telescoping family the tails are closed-form (x_n = 1/n
-    exactly).  For custom tables the tail beyond N must be supplied by the
-    caller: a Fraction r means the true remainder lies in [0, r]; a
-    RatInterval is used as given.  Without either, MissingTailBound is
-    raised (e.g. c_n = 1 makes the tail a harmonic series, where no finite
-    bound exists).
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if scheme.kind == "polya":
-        tails = [CarlemanTail(n, RatInterval.point(Fraction(1, n)), True)
-                 for n in range(1, N + 1)]
-        total = Fraction(0)
-        for n in range(1, N + 1):
-            total += telescoping_weight(n) * Fraction(1, n) * seq.term(n)
-        return RatInterval.point(total), tails
-    if scheme.kind != "custom":
-        raise ValueError("weighted_tail_bound handles the telescoping family and "
-                         "custom tables; use carleman_sums for the others")
-    if scheme.table is None or len(scheme.table) < N:
-        raise ValueError(f"custom table must carry at least N={N} weights")
-    if tail_remainder is None:
-        raise MissingTailBound(
-            "custom weights need a caller-supplied bound for the tail beyond N "
-            "(and none exists when the tail diverges)")
-    if isinstance(tail_remainder, RatInterval):
-        remainder = tail_remainder
-    else:
-        remainder = RatInterval(0, Fraction(tail_remainder))
-
-    per_term = width / (2 * N)
-    terms: list[RatInterval] = []
-    prod = Fraction(1)
-    for k in range(1, N + 1):
-        prod *= scheme.table[k - 1]
-        geo = nth_root_interval(prod, k, per_term)
-        terms.append(geo.reciprocal().scale(Fraction(1, k)))
-
-    tails_rev: list[CarlemanTail] = []
-    suffix = remainder
-    exact = remainder.width == 0
-    for k in range(N, 0, -1):
-        suffix = suffix + terms[k - 1]
-        exact = exact and terms[k - 1].width == 0
-        tails_rev.append(CarlemanTail(k, suffix, exact))
-    tails = list(reversed(tails_rev))
-
-    rhs = RatInterval.point(0)
-    for n in range(1, N + 1):
-        rhs = rhs + tails[n - 1].value.scale(scheme.table[n - 1] * seq.term(n))
-    return rhs, tails

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 from . import carleman as carl
 from . import keller as kel
 from .algebra import rat_str
-from .enclosure import (RefinementExhausted, SoundnessError, check_classic_at,
-                        check_certified_at)
+from .enclosure import (DEFAULT_WIDTH, RefinementExhausted, SoundnessError,
+                        check_classic_at, check_certified_at)
 from .prover import match_reference_polynomials, prove_bound, render_certificate
 from .series import (Variant, bare_optimal_bound, expand_bound_gap,
                      expand_relative_error, lower_bound, solve_optimal_params,
@@ -73,10 +73,6 @@ def dec_ceil(q: Fraction, digits: int) -> str:
 def dec_trunc(q: Fraction, digits: int) -> str:
     scaled = abs(q.numerator) * 10**digits // q.denominator
     return _scaled_digits(-scaled if q < 0 else scaled, digits)
-
-
-def fmt_rat(q: Fraction, digits: int) -> str:
-    return f"{dec_trunc(q, digits)} (={rat_str(q)})"
 
 
 def fmt_interval(iv, digits: int) -> str:
@@ -254,6 +250,9 @@ def cmd_check(args, out) -> int:
     return worst
 
 
+_CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"}
+
+
 def cmd_keller(args, out) -> int:
     variant = Variant.parse(args.variant)
     if args.symbolic:
@@ -275,6 +274,9 @@ def cmd_keller(args, out) -> int:
     if not ns or min(ns) < 2:
         raise UsageError("difference-sequence indices must be >= 2")
     rows = kel.convergence_table(ns, width, variant)
+    outcomes = {row.outcome for row in rows}
+    code = (EXIT_FAIL if "outside" in outcomes
+            else EXIT_UNDECIDED if "undecided" in outcomes else EXIT_OK)
     target = Fraction(1, 24)
     if args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -290,7 +292,7 @@ def cmd_keller(args, out) -> int:
                                  dec_floor(row.sandwich_lo, args.digits),
                                  dec_ceil(row.sandwich_hi, args.digits),
                                  dec_trunc(target, args.digits)])
-        return EXIT_OK
+        return code
     if args.format == "json":
         payload = [{"n": row.n,
                     "rate": {"lo": rat_str(row.rate.lo), "hi": rat_str(row.rate.hi)},
@@ -300,15 +302,15 @@ def cmd_keller(args, out) -> int:
                    for row in rows]
         json.dump(payload, out, sort_keys=True, indent=2)
         out.write("\n")
-        return EXIT_OK
+        return code
     out.write(f"n^2 (x_n - 1) with the exact sandwich; target 1/24 "
               f"= {dec_trunc(target, args.digits)}\n")
     for row in rows:
         out.write(f"n={row.n}: enclosure {fmt_interval(row.rate, args.digits)} "
                   f"sandwich [{dec_floor(row.sandwich_lo, args.digits)}, "
                   f"{dec_ceil(row.sandwich_hi, args.digits)}] "
-                  f"contained={'yes' if row.contained else 'NO'}\n")
-    return EXIT_OK if all(row.contained for row in rows) else EXIT_FAIL
+                  f"contained={_CONTAINED_TEXT[row.outcome]}\n")
+    return code
 
 
 def cmd_carleman(args, out) -> int:
@@ -341,7 +343,7 @@ def cmd_carleman(args, out) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "a_n", "lhs_term_lo", "lhs_term_hi",
                          "weight_lo", "weight_hi"])
-        per_term = Fraction(1, 10**30) / args.N
+        per_term = DEFAULT_WIDTH / args.N
         for n in range(1, args.N + 1):
             term = seq.geometric_mean_enclosure(n, per_term)
             w = carl.weight(scheme, n)
@@ -382,25 +384,31 @@ def build_parser() -> _Parser:
                                  "numerics for rational bounds of (1+1/n)^n.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    # each subcommand takes only the shared flags its handler reads
+    def add(name, fn, *, digits=True, variant=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--digits", type=int, default=12,
-                       help="decimal digits in rendered output")
-        p.add_argument("--variant", choices=["as-written", "dedup"],
-                       default="dedup",
-                       help="doubled or single 1/x^5 correction in the upper bound")
+        if digits:
+            p.add_argument("--digits", type=int, default=12,
+                           help="decimal digits in rendered output")
+        if variant:
+            p.add_argument("--variant", choices=["as-written", "dedup"],
+                           default="dedup",
+                           help="doubled or single 1/x^5 correction in the upper bound")
         return p
 
-    p = add("expand", cmd_expand, help="series expansions of the error and bound gaps")
+    p = add("expand", cmd_expand, digits=False,
+            help="series expansions of the error and bound gaps")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--bound", choices=sorted(_BOUNDS), default=None,
                    help="expand the value gap of this bound instead of the "
                         "symbolic relative error")
 
-    add("optimize", cmd_optimize, help="solve for the optimal rational approximation")
+    add("optimize", cmd_optimize, variant=False,
+        help="solve for the optimal rational approximation")
 
-    p = add("prove", cmd_prove, help="prove or refute a bound via sign certificates")
+    p = add("prove", cmd_prove, digits=False,
+            help="prove or refute a bound via sign certificates")
     p.add_argument("--bound", choices=sorted(_BOUNDS), default="u")
     p.add_argument("--side", choices=["lower", "upper"], default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -428,7 +436,8 @@ def build_parser() -> _Parser:
                    default="refined")
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
-    add("verify-all", cmd_verify_all, help="run the whole verification gate")
+    add("verify-all", cmd_verify_all, digits=False, variant=False,
+        help="run the whole verification gate")
     return parser
 
 

@@ -163,6 +163,18 @@ class ConvergenceRow:
     def contained(self) -> bool:
         return self.sandwich_lo <= self.rate.lo and self.rate.hi <= self.sandwich_hi
 
+    @property
+    def outcome(self) -> str:
+        """"contained"; "outside" when the enclosure is disjoint from the
+        sandwich, which refutes the certified bounds; "undecided" when it
+        overlaps the sandwich without fitting inside (a narrower width
+        decides)."""
+        if self.contained:
+            return "contained"
+        if self.rate.hi < self.sandwich_lo or self.sandwich_hi < self.rate.lo:
+            return "outside"
+        return "undecided"
+
 
 def convergence_table(ns: Iterable[int],
                       target_width: Fraction = DEFAULT_TABLE_WIDTH,

@@ -127,8 +127,7 @@ def _segment_certificates(p: Poly, lo: Fraction, hi: Fraction, sign: int,
     return left + right
 
 
-def poly_sign_certificate(p: Poly, x0: Scalar,
-                          max_depth: int = MAX_BISECTION_DEPTH) -> Optional[SignCertificate]:
+def poly_sign_certificate(p: Poly, x0: Scalar) -> Optional[SignCertificate]:
     """Certify that p keeps one strict sign on (x0, oo) (weak at x0 only
     through the (x - x0)^m factor).  Returns None when no certificate is
     found; never returns a wrong certificate."""
@@ -146,11 +145,12 @@ def poly_sign_certificate(p: Poly, x0: Scalar,
     base_sign = 1 if reduced.eval(x0) > 0 else -1
     if lead_sign != base_sign:
         return None
-    for j in range(max_depth + 1):
+    for j in range(MAX_BISECTION_DEPTH + 1):
         tail = x0 + 2**j
         tail_shift = reduced.shift(tail)
         if _uniform_sign(tail_shift) == lead_sign:
-            segs = _segment_certificates(reduced, x0, tail, lead_sign, max_depth)
+            segs = _segment_certificates(reduced, x0, tail, lead_sign,
+                                         MAX_BISECTION_DEPTH)
             if segs is None:
                 return None
             return SignCertificate(x0, lead_sign, p, mult, tail_shift,

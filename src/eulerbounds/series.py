@@ -173,15 +173,11 @@ class Series:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
+    def __init__(self, coeffs: Sequence[Coeff]):
         coeffs = tuple(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
+        if not coeffs:
             raise ValueError("series order must be >= 0")
-        if len(coeffs) != order + 1:
-            raise ValueError("series must carry exactly order+1 coefficients")
-        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", len(coeffs) - 1)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
@@ -221,10 +217,6 @@ class Series:
             for j in range(T + 1 - i):
                 out[i + j] = out[i + j] + ci * other.coeffs[j]
         return Series(out)
-
-    def scale(self, c: Scalar) -> "Series":
-        c = Fraction(c)
-        return Series([v * c for v in self.coeffs])
 
     def scale_arg(self, c: Coeff) -> "Series":
         """Substitute t -> c*t: coefficient k picks up a factor c^k."""
@@ -369,7 +361,6 @@ class BoundSpec:
 
     def as_ratfunc(self) -> RatFunc:
         """The bound as one exact rational function of x."""
-        x = RatFunc.x()
         r = RatFunc(Poly((self.a, 1)), Poly((self.b, 1)))
         for c, k in self.corrections:
             r = r + RatFunc(Poly.constant(c), Poly.x() ** k)
@@ -493,10 +484,10 @@ def _as_univariate_in_a(p: ParamPoly, b_poly: Poly) -> Poly:
 def solve_optimal_params() -> OptimalParams:
     """Solve for the parameters that kill the two leading error terms.
 
-    The coefficient of t is linear in (a, b); eliminating b turns the
-    t^2 coefficient into a low-degree polynomial in a alone.  The unique
-    admissible root (positive, consistent with the eliminated relation)
-    is returned together with the residual t^3 coefficient.
+    The coefficient of t is linear in (a, b); eliminating b (b = a + 1/2)
+    cancels the a^2 terms of the t^2 coefficient, leaving the linear
+    -a/2 + 5/24.  Its root, which must be positive, is returned together
+    with the residual t^3 coefficient.
     """
     w = expand_relative_error(3)
     c1, c2, c3 = w[1], w[2], w[3]
@@ -509,32 +500,11 @@ def solve_optimal_params() -> OptimalParams:
     # b expressed as a polynomial in a
     b_of_a = Poly((-gamma / beta, -alpha / beta))
     reduced = _as_univariate_in_a(c2, b_of_a)
-    roots: list[Fraction] = []
-    if reduced.degree() == 1:
-        roots = [-reduced.coeff(0) / reduced.coeff(1)]
-    elif reduced.degree() == 2:
-        p2, p1, p0 = reduced.coeff(2), reduced.coeff(1), reduced.coeff(0)
-        disc = p1 * p1 - 4 * p2 * p0
-        if disc < 0:
-            raise DegenerateSystem("no rational root for the second error term")
-        num, den = disc.numerator, disc.denominator
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is None or rd is None:
-            raise DegenerateSystem("irrational root for the second error term")
-        sq = Fraction(rn, rd)
-        roots = [(-p1 + sq) / (2 * p2), (-p1 - sq) / (2 * p2)]
-    else:
-        raise DegenerateSystem("elimination did not reduce to degree <= 2")
-    admissible = [r for r in roots if r > 0]
-    if len(admissible) != 1:
-        raise DegenerateSystem(f"expected one admissible root, got {admissible}")
-    a = admissible[0]
+    if reduced.degree() != 1:
+        raise DegenerateSystem(
+            f"elimination left degree {reduced.degree()} in a, expected 1")
+    a = -reduced.coeff(0) / reduced.coeff(1)
+    if a <= 0:
+        raise DegenerateSystem(f"the root a = {a} is not admissible")
     b = b_of_a.eval(a)
     return OptimalParams(a, b, c3.subs(a, b))
-
-
-def _isqrt_exact(v: int):
-    from math import isqrt
-
-    r = isqrt(v)
-    return r if r * r == v else None

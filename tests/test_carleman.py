@@ -4,10 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulerbounds.carleman import (MissingTailBound, TestSequence,
-                                  WeightScheme, carleman_sums, epsilon_term,
-                                  polya_identities, telescoping_weight,
-                                  termwise_weight_chain, weighted_tail_bound,
+from eulerbounds.carleman import (TestSequence, WeightScheme, carleman_sums,
+                                  epsilon_term, polya_identities,
+                                  telescoping_weight, termwise_weight_chain,
                                   weight, weight_over_e)
 from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval,
                                    euler_number_interval, integer_nth_root)
@@ -76,14 +75,6 @@ class TestWeights:
     def test_interval_weights_contain_e_multiples(self):
         w = weight(WeightScheme.simple(), 1, F(1, 10**25))
         assert w.lo < E_CONST * F(17, 23) < w.hi
-
-    def test_custom_weight_needs_tail_machinery(self):
-        with pytest.raises(ValueError):
-            weight(WeightScheme.custom([1, 2]), 1)
-
-    def test_custom_weights_must_be_positive(self):
-        with pytest.raises(ValueError):
-            WeightScheme.custom([1, F(-1, 2)])
 
 
 class TestWeightChain:
@@ -175,47 +166,3 @@ class TestCarlemanSums:
             lhs, rhs = carleman_sums(seq, scheme, 60)
             assert lhs.hi <= rhs.lo
 
-
-class TestWeightedTailBound:
-    def test_telescoping_table_reproduces_closed_form(self):
-        N = 12
-        seq = TestSequence.geometric(F(1, 2))
-        table = WeightScheme.custom([telescoping_weight(k) for k in range(1, N + 1)])
-        rhs_custom, tails = weighted_tail_bound(
-            table, seq, N, tail_remainder=RatInterval.point(F(1, N + 1)))
-        rhs_closed, closed_tails = weighted_tail_bound(WeightScheme.polya(), seq, N)
-        assert rhs_custom == rhs_closed
-        assert all(t.exact for t in tails)
-        assert [t.value for t in tails] == [t.value for t in closed_tails]
-        assert tails[0].value == RatInterval.point(1)
-
-    def test_harmonic_table_needs_a_tail_bound(self):
-        # all-ones weights make the tail the harmonic series: no bound exists
-        with pytest.raises(MissingTailBound):
-            weighted_tail_bound(WeightScheme.custom([1] * 5),
-                           TestSequence.geometric(F(1, 2)), 5)
-
-    def test_zero_remainder_gives_exact_finite_computation(self):
-        table = WeightScheme.custom([2, F(9, 2), F(64, 9)])
-        seq = TestSequence.custom([1, 1, 1])
-        rhs, tails = weighted_tail_bound(table, seq, 3, tail_remainder=F(0))
-        # tails computed by hand: x_3 = 1/12, x_2 = 1/6+1/12 = 1/4, x_1 = 1/2+1/4 = 3/4
-        assert [t.value for t in tails] == [RatInterval.point(F(3, 4)),
-                                            RatInterval.point(F(1, 4)),
-                                            RatInterval.point(F(1, 12))]
-        assert all(t.exact for t in tails)
-        assert rhs == RatInterval.point(2 * F(3, 4) + F(9, 2) * F(1, 4)
-                                        + F(64, 9) * F(1, 12))
-
-    def test_fraction_remainder_means_upper_bound(self):
-        table = WeightScheme.custom([2, F(9, 2)])
-        seq = TestSequence.custom([1, 1])
-        rhs, tails = weighted_tail_bound(table, seq, 2, tail_remainder=F(1, 3))
-        assert tails[1].value == RatInterval(F(1, 6), F(1, 6) + F(1, 3))
-        assert not tails[1].exact
-        assert rhs.width > 0
-
-    def test_table_must_cover_n(self):
-        with pytest.raises(ValueError):
-            weighted_tail_bound(WeightScheme.custom([1, 2]),
-                           TestSequence.geometric(F(1, 2)), 5, tail_remainder=F(1))

@@ -6,7 +6,7 @@ import pytest
 
 from eulerbounds import enclosure
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
-                             dec_ceil, dec_floor, dec_trunc, fmt_rat, main,
+                             dec_ceil, dec_floor, dec_trunc, main,
                              parse_indices)
 from fractions import Fraction as F
 
@@ -30,9 +30,6 @@ class TestRendering:
 
     def test_exact_values_round_cleanly(self):
         assert dec_floor(F(1, 4), 2) == dec_ceil(F(1, 4), 2) == "0.25"
-
-    def test_fmt_rat(self):
-        assert fmt_rat(F(1, 24), 6) == "0.041666 (=1/24)"
 
     def test_parse_indices(self):
         assert parse_indices(["3", "7", "10..12"]) == [3, 7, 10, 11, 12]
@@ -170,6 +167,20 @@ class TestCommands:
         assert code == EXIT_OK
         assert "= 4/1" in out and "= 1/3" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_keller_overlap_is_undecided_in_every_format(self, fmt):
+        # at width 1e-20 the rate enclosure (~1e-24 wide) overlaps the
+        # ~1e-28-wide sandwich at n = 10^9 without fitting inside it
+        code, out = run("keller", "--n", "1000000000", "--format", fmt)
+        assert code == EXIT_UNDECIDED
+        if fmt == "text":
+            assert "contained=undecided" in out
+
+    def test_keller_narrow_width_decides_containment(self):
+        code, out = run("keller", "--n", "1000000000", "--width", "1e-30")
+        assert code == EXIT_OK
+        assert "contained=yes" in out
+
     def test_inverted_as_written_sandwich_fails_cleanly(self, capsys):
         code, _ = run("keller", "--n", "5", "--variant", "as-written",
                       "--width", "1e-8")
@@ -214,6 +225,9 @@ class TestUsageErrors:
         ("keller", "--width", "0"),
         ("keller", "--width", "-1"),
         ("carleman", "--seq", "custom:1,2,3", "--N", "5"),
+        ("verify-all", "--digits", "5"),
+        ("optimize", "--variant", "dedup"),
+        ("prove", "--digits", "3"),
     ])
     def test_exit_64(self, argv, capsys):
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE

@@ -8,10 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from eulerbounds.keller import (DISPLAY_DENOMINATOR_CONSTANT, DegreeMismatch,
-                                convergence_table, display_forms, keller_term,
-                                sandwich_bounds, sandwich_limits,
-                                sandwich_ratfuncs)
+from eulerbounds.enclosure import RatInterval
+from eulerbounds.keller import (DISPLAY_DENOMINATOR_CONSTANT, ConvergenceRow,
+                                DegreeMismatch, convergence_table,
+                                display_forms, keller_term, sandwich_bounds,
+                                sandwich_limits, sandwich_ratfuncs)
 from eulerbounds.series import Variant, lower_bound, upper_bound
 
 X2 = F("1.01166846322146638438769036794401738547598061")  # (11/4)/e
@@ -141,6 +142,18 @@ class TestConvergenceTable:
     def test_width_contract(self):
         row = convergence_table([50], F(1, 10**9))[0]
         assert row.rate.width <= F(1, 10**9)
+
+    @pytest.mark.parametrize("rate, outcome", [
+        (RatInterval(F(2), F(3)), "contained"),
+        (RatInterval(F(4), F(5)), "undecided"),
+        (RatInterval(F(1, 2), F(3, 2)), "undecided"),
+        (RatInterval(F(5), F(6)), "outside"),
+        (RatInterval(F(0), F(1, 2)), "outside"),
+    ])
+    def test_outcome_separates_overlap_from_disjoint(self, rate, outcome):
+        row = ConvergenceRow(10, rate, F(1), F(4))
+        assert row.outcome == outcome
+        assert row.contained == (outcome == "contained")
 
     def test_degree_mismatch_guard_exists(self):
         # regression tripwire: a malformed rational function must raise

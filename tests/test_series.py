@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds.series import (BoundSpec, NonzeroConstantTerm, ParamPoly,
+from eulerbounds import series
+from eulerbounds.series import (BoundSpec, DegenerateSystem,
+                                NonzeroConstantTerm, ParamPoly,
                                 Series, Variant, bare_optimal_bound,
                                 euler_ratio_series, expand_bound_gap,
                                 expand_relative_error, log_gap_series,
@@ -107,6 +109,16 @@ class TestOptimalParams:
         got = solve_optimal_params()
         assert (got.a, got.b) == (F(5, 12), F(11, 12))
         assert got.residual_third_coefficient == F(-5, 288)
+
+    @pytest.mark.parametrize("c2", [A * A - C(F(1, 4)), C(1)],
+                             ids=["quadratic", "constant"])
+    def test_reduced_degree_other_than_one_is_degenerate(self, monkeypatch, c2):
+        # c1 = a - b + 1/2 eliminates to b = a + 1/2, as in the real system;
+        # c2 then reduces to a^2 - 1/4 (root 1/2 > 0) or to a constant
+        system = Series([C(0), A - B + C(F(1, 2)), c2, C(0)])
+        monkeypatch.setattr(series, "expand_relative_error", lambda order: system)
+        with pytest.raises(DegenerateSystem):
+            solve_optimal_params()
 
 
 class TestBoundSpec:

@@ -1,5 +1,6 @@
-"""Repository checks: no floating point in the library, and the benchmark
-tracer still finds every name it wraps."""
+"""Repository checks: no floating point in the library, no public library
+code that only the tests use, and the benchmark tracer still finds every
+name it wraps."""
 
 import ast
 import importlib.util
@@ -35,6 +36,65 @@ def test_float_scan_sees_calls_and_literals(tmp_path):
     sample.write_text("x = float(1)\ny = 0.5\nz = 2j\nw = 3\n")
     assert [f.split(": ")[1] for f in float_uses(sample)] == [
         "float()", "literal 0.5", "literal 2j"]
+
+
+def name_uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(identifier, line) for every name, attribute, imported name and
+    identifier-like string literal in a tree; the benchmark tracer names
+    its targets by string."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            uses.extend((alias.name, node.lineno) for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            uses.append((node.value, node.lineno))
+    return uses
+
+
+def unreferenced_public_names(modules: list[Path], others: list[Path]) -> list[str]:
+    """Public top-level functions and classes of ``modules`` that nothing
+    references: not their own module outside their definition, not another
+    of ``modules``, not one of ``others``."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in modules + others}
+    uses = {path: name_uses(tree) for path, tree in trees.items()}
+    found = []
+    for path in modules:
+        for node in trees[path].body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            used = any(name == node.name and not (where == path and line in span)
+                       for where, items in uses.items() for name, line in items)
+            if not used:
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_no_public_library_code_only_the_tests_use():
+    modules = [p for p in LIBRARY if p.name != "__init__.py"]
+    perfbench = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unreferenced_public_names(modules, perfbench) == []
+
+
+def test_reference_scan_sees_uses_outside_the_definition(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text("def used():\n    return 1\n\n"
+                   "def only_recursive():\n    return only_recursive()\n\n"
+                   "def named_by_string():\n    pass\n\n"
+                   "class Unused:\n    pass\n\n"
+                   "def _private():\n    pass\n\n"
+                   "VALUE = used()\n")
+    other = tmp_path / "other.py"
+    other.write_text("getattr(lib, 'named_by_string')\n")
+    assert unreferenced_public_names([lib], [other]) == [
+        "lib.py:only_recursive", "lib.py:Unused"]
 
 
 def load_tracer():
