@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .enclosure import (DEFAULT_WIDTH, RatInterval, euler_number_interval,
-                        normalized_euler_interval, nth_root_interval)
+from .enclosure import (_GUARD_BITS, DEFAULT_WIDTH, RatInterval, _normalized_fixed,
+                        euler_number_interval, nth_root_interval)
 from .series import Variant, bare_optimal_bound, upper_bound
 
 
@@ -233,27 +233,38 @@ class ChainReport:
         raise KeyError(link)
 
 
-def _strictly_below(n: int, value: Fraction, env: RatInterval,
-                    width: Fraction) -> bool:
-    """Decide (1/e)(1+1/n)^n < value, refining the enclosure if it
-    straddles; the compared quantities are never equal (one side is
-    irrational), so this terminates."""
+# Bits added to a straddling bracket: 34 bits is about ten decimal digits.
+_REFINE_BITS = 34
+
+
+def _strictly_below(n: int, value: Fraction, prec: int,
+                    bracket: tuple[int, int]) -> bool:
+    """Decide (1/e)(1+1/n)^n < value from lo <= 2^prec (1/e)(1+1/n)^n <= hi.
+
+    Both tests cross-multiply by value's denominator, so they stay in
+    integers.  A straddle brackets again with more bits; the compared
+    quantities are never equal (one side is irrational), so this
+    terminates.
+    """
+    lo, hi = bracket
+    num, den = value.numerator, value.denominator
     for _ in range(8):
-        if env.hi < value:
+        if hi * den < num << prec:
             return True
-        if env.lo >= value:
+        if lo * den >= num << prec:
             return False
-        width = width / 10**10
-        env = normalized_euler_interval(n, width)
+        prec += _REFINE_BITS
+        lo, hi = _normalized_fixed(n, 1, prec)
     raise ArithmeticError(f"could not separate enclosure from {value} at n={n}")
 
 
 def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainReport:
     """Verify the weight chain for every n <= N.
 
-    One enclosure per index decides both enclosure links in the common
-    case: its width starts near the known asymptotic margin (the refined
-    gap shrinks like n^-7) and refines only if a comparison straddles.
+    One fixed-point bracket per index decides both enclosure links in the
+    common case: its 2^-prec resolution sits below 1/(64 n^7), the scale
+    of the refined gap, and more bits come only if a comparison
+    straddles.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -266,15 +277,16 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
     for n in range(1, N + 1):
         refined = upper.eval(n)
         simple = bare.eval(n)
-        start = Fraction(1, 64 * n**7)
-        env = normalized_euler_interval(n, start)
-        if fail_refined is None and not _strictly_below(n, refined, env, start):
+        # the bracket spans under 2^(_GUARD_BITS - prec) <= 1/(64 n^7)
+        prec = 7 * n.bit_length() + 6 + _GUARD_BITS
+        bracket = _normalized_fixed(n, 1, prec)
+        if fail_refined is None and not _strictly_below(n, refined, prec, bracket):
             fail_refined = n
-        if fail_simple is None and not _strictly_below(n, simple, env, start):
+        if fail_simple is None and not _strictly_below(n, simple, prec, bracket):
             fail_simple = n
         if fail_one is None and not simple < 1:
             fail_one = n
-        if simple - refined <= 0:  # eps_n <= 0
+        if simple <= refined:  # eps_n <= 0
             non_improving.append(n)
     return ChainReport(N, variant,
                        (("value_vs_refined", fail_refined),

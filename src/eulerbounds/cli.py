@@ -298,7 +298,7 @@ def cmd_keller(args, out) -> int:
                     "rate": {"lo": rat_str(row.rate.lo), "hi": rat_str(row.rate.hi)},
                     "sandwich": {"lo": rat_str(row.sandwich_lo),
                                  "hi": rat_str(row.sandwich_hi)},
-                    "contained": row.contained}
+                    "contained": row.contained, "outcome": row.outcome}
                    for row in rows]
         json.dump(payload, out, sort_keys=True, indent=2)
         out.write("\n")

@@ -235,9 +235,8 @@ def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
     return _refine(_euler_stage, width)
 
 
-def _normalized_stage(p: int, q: int, stage: int) -> RatInterval:
-    """One fixed-point stage for n = p/q >= 1: dyadic endpoints over 2^prec."""
-    prec = _stage_prec(stage)
+def _normalized_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^prec (1/e)(1+1/n)^n <= hi for n = p/q >= 1."""
     # n multiplies the logarithm's error, so it gets p's bit length on top
     shift = p.bit_length() + _GUARD_BITS
     ln_lo, ln_hi = _ln1p_fixed(p, q, prec + shift)
@@ -249,7 +248,14 @@ def _normalized_stage(p: int, q: int, stage: int) -> RatInterval:
     lo, hi = _exp_fixed(x_lo, prec)
     # exp(x_hi) = exp(x_lo) e^d with 0 <= d <= 1, and e^d <= 1 + 2d there;
     # exp(x_lo) <= 1 since x_lo <= 0, so hi grows by at most 2 d in ulps
-    hi += 2 * (x_hi - x_lo)
+    return lo, hi + 2 * (x_hi - x_lo)
+
+
+def _normalized_stage(p: int, q: int, stage: int) -> RatInterval:
+    """One fixed-point stage for n = p/q >= 1: dyadic endpoints over 2^prec."""
+    prec = _stage_prec(stage)
+    lo, hi = _normalized_fixed(p, q, prec)
+    one = 1 << prec
     return RatInterval(Fraction(lo, one), Fraction(hi, one))
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -355,6 +356,28 @@ class BoundSpec:
         object.__setattr__(self, "a", Fraction(a))
         object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "corrections", canon)
+        object.__setattr__(self, "_horner", self._integer_coefficients())
+
+    def _integer_coefficients(self) -> tuple[tuple[int, int], ...]:
+        """(P_i, Q_i) pairs, leading first, of the integer polynomials with
+        bound(x) = P(x) / Q(x) for every x.
+
+        P = L ((x+a) x^K + (x+b) sum c_k x^(K-k)) and Q = L (x+b) x^K, with
+        K the top correction power and L the least common multiple of the
+        denominators.  No factor is cancelled, so Q vanishes exactly where a
+        term of the defining sum has a pole.
+        """
+        K = self.max_power()
+        num = [Fraction(0)] * (K + 2)  # num[i] is the coefficient of x^i
+        den = [Fraction(0)] * (K + 2)
+        num[K + 1], num[K] = Fraction(1), self.a
+        den[K + 1], den[K] = Fraction(1), self.b
+        for c, k in self.corrections:
+            num[K - k + 1] += c
+            num[K - k] += c * self.b
+        lcm = math.lcm(*(v.denominator for v in num + den))
+        return tuple((int(p * lcm), int(q * lcm))
+                     for p, q in zip(reversed(num), reversed(den)))
 
     def max_power(self) -> int:
         return self.corrections[-1][1] if self.corrections else 0
@@ -367,11 +390,19 @@ class BoundSpec:
         return r
 
     def eval(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
-        value = (x + self.a) / (x + self.b)
-        for c, k in self.corrections:
-            value += c / x**k
-        return value
+        """The exact value at x, by Horner's rule on P and Q homogenized
+        for x = p/q: both sums scale by the same q^(K+1), so their ratio
+        is bound(x).  A pole raises ZeroDivisionError."""
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        (num, den), *rest = self._horner
+        q_power = 1
+        for p_i, q_i in rest:
+            q_power *= q
+            num = num * p + p_i * q_power
+            den = den * p + q_i * q_power
+        return Fraction(num, den)
 
     def series(self, order: int) -> Series:
         """Asymptotic expansion of the bound in t = 1/x.

@@ -2,15 +2,21 @@
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulerbounds.carleman import (TestSequence, WeightScheme, carleman_sums,
-                                  epsilon_term, polya_identities,
+from eulerbounds import carleman
+from eulerbounds.carleman import (TestSequence, WeightScheme, _strictly_below,
+                                  carleman_sums, epsilon_term, polya_identities,
                                   telescoping_weight, termwise_weight_chain,
                                   weight, weight_over_e)
-from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval,
-                                   euler_number_interval, integer_nth_root)
-from eulerbounds.series import Variant
+from eulerbounds.enclosure import (_GUARD_BITS, DEFAULT_WIDTH, RatInterval,
+                                   _normalized_fixed, euler_number_interval,
+                                   integer_nth_root, normalized_euler_interval)
+from eulerbounds.series import (Variant, bare_optimal_bound, lower_bound,
+                                upper_bound)
 
 E_CONST = F("2.71828182845904523536028747135266249775724709")
 
@@ -98,6 +104,56 @@ class TestWeightChain:
         assert weight_over_e(refined, 1) > weight_over_e(simple, 1)
         for n in range(2, 100):
             assert weight_over_e(refined, n) < weight_over_e(simple, n)
+
+
+def chain_decision(n: int, value: F) -> bool:
+    """The chain's test of (1/e)(1+1/n)^n < value, from its starting bracket."""
+    prec = 7 * n.bit_length() + 6 + _GUARD_BITS
+    return _strictly_below(n, value, prec, _normalized_fixed(n, 1, prec))
+
+
+def oracle_normalized(n: int, digits: int) -> F:
+    """(1/e)(1+1/n)^n from mpmath at the given digits, as an exact rational."""
+    with mpmath.workdps(digits):
+        man, exp = mpmath.exp(n * mpmath.log1p(mpmath.mpf(1) / n) - 1).man_exp
+    return F(man) * F(2) ** exp
+
+
+class TestChainDecision:
+    """The integer cross-multiplication test of the weight chain."""
+
+    def test_agrees_with_the_interval_comparison(self):
+        bounds = (lower_bound(), bare_optimal_bound(), upper_bound(Variant.DEDUP),
+                  upper_bound(Variant.AS_WRITTEN))
+        for n in range(1, 501):
+            env = normalized_euler_interval(n, F(1, 64 * n**7))
+            for bound in bounds:
+                value = bound.eval(n)
+                assert env.hi < value or env.lo >= value  # the interval decides
+                assert chain_decision(n, value) == (env.hi < value)
+
+    @given(st.integers(min_value=1, max_value=500))
+    @settings(max_examples=40, deadline=None)
+    def test_decides_values_within_two_to_the_minus_80(self, n):
+        ref = oracle_normalized(n, 60)
+        assert chain_decision(n, ref + F(1, 2**80))
+        assert not chain_decision(n, ref - F(1, 2**80))
+
+    def test_straddle_refines(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(carleman, "_normalized_fixed",
+                            lambda *args: calls.append(args) or _normalized_fixed(*args))
+        ref = oracle_normalized(1, 60)
+        assert chain_decision(1, ref + F(1, 2**80))
+        # the bracket at 29 bits straddles; 63 and 97 bits come from refining
+        assert [prec for _, _, prec in calls] == [63, 97]
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_values_within_two_to_the_minus_400_are_undecidable(self, n):
+        ref = oracle_normalized(n, 200)
+        for value in (ref + F(1, 2**400), ref - F(1, 2**400)):
+            with pytest.raises(ArithmeticError):
+                chain_decision(n, value)
 
 
 class TestSequences:

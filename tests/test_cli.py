@@ -181,6 +181,19 @@ class TestCommands:
         assert code == EXIT_OK
         assert "contained=yes" in out
 
+    def test_keller_json_names_each_row_outcome(self):
+        import json
+
+        code, out = run("keller", "--n", "1000000000", "--format", "json")
+        assert code == EXIT_UNDECIDED
+        [row] = json.loads(out)
+        assert row["outcome"] == "undecided" and row["contained"] is False
+        code, out = run("keller", "--format", "json")
+        assert code == EXIT_OK
+        rows = json.loads(out)
+        assert [row["n"] for row in rows] == [10, 100, 1000]
+        assert all(row["outcome"] == "contained" and row["contained"] for row in rows)
+
     def test_inverted_as_written_sandwich_fails_cleanly(self, capsys):
         code, _ = run("keller", "--n", "5", "--variant", "as-written",
                       "--width", "1e-8")

@@ -346,3 +346,29 @@ class TestRoots:
     def test_root_domain_guard(self):
         with pytest.raises(DomainError):
             nth_root_interval(F(-1), 2)
+
+
+ROOT_DIGITS = st.integers(min_value=8, max_value=60)
+
+
+class TestRootOracle:
+    """``nth_root_interval`` against mpmath at three times the digits."""
+
+    @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=1, max_value=10**6),
+           st.integers(min_value=2, max_value=400), ROOT_DIGITS)
+    @settings(max_examples=50, deadline=None)
+    def test_contains_oracle_within_width(self, a, b, k, digits):
+        iv = nth_root_interval(F(a, b), k, F(1, 10**digits))
+        assert iv.width <= F(1, 10**digits)
+        with mpmath.workdps(3 * digits):
+            man, exp = mpmath.root(mpmath.mpf(a) / b, k).man_exp
+        ref = F(man) * F(2) ** exp
+        slack = F(1, 10 ** (3 * digits - 5))  # above mpmath's error (roots stay below 10^3)
+        assert iv.lo - slack <= ref <= iv.hi + slack
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=2, max_value=400), ROOT_DIGITS)
+    @settings(max_examples=50, deadline=None)
+    def test_perfect_powers_are_exact_points(self, c, d, k, digits):
+        root = F(c, d)
+        assert nth_root_interval(root**k, k, F(1, 10**digits)) == RatInterval.point(root)

@@ -121,6 +121,19 @@ class TestOptimalParams:
             solve_optimal_params()
 
 
+def defining_sum(bound: BoundSpec, x: F) -> F:
+    """Independent oracle for ``BoundSpec.eval``: (x+a)/(x+b) + sum c_k / x^k."""
+    value = (x + bound.a) / (x + bound.b)
+    for c, k in bound.corrections:
+        value += c / x**k
+    return value
+
+
+# rational x = p/q >= 1/2 with q <= 50
+EVAL_POINTS = st.builds(F, st.integers(min_value=1, max_value=10**7),
+                        st.integers(min_value=1, max_value=50)).filter(lambda x: x >= F(1, 2))
+
+
 class TestBoundSpec:
     def test_corrections_canonicalized(self):
         b = BoundSpec(F(5, 12), F(11, 12), [(F(1, 4), 5), (F(-1, 3), 3), (F(1, 4), 5)])
@@ -137,6 +150,36 @@ class TestBoundSpec:
                       upper_bound(Variant.AS_WRITTEN)):
             for x in (F(1), F(3, 2), F(10)):
                 assert bound.eval(x) == bound.as_ratfunc().eval(x)
+
+    @given(EVAL_POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_eval_matches_the_defining_sum_for_the_paper_bounds(self, x):
+        for bound in (lower_bound(), bare_optimal_bound(), upper_bound(Variant.DEDUP),
+                      upper_bound(Variant.AS_WRITTEN)):
+            assert bound.eval(x) == defining_sum(bound, x)
+
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+           st.fractions(min_value=-3, max_value=3, max_denominator=12),
+           st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+                              st.integers(min_value=1, max_value=9)),
+                    max_size=5),
+           EVAL_POINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_eval_matches_the_defining_sum_for_any_bound(self, a, b, corrections, x):
+        bound = BoundSpec(a, b, corrections)
+        try:
+            expected = defining_sum(bound, x)
+        except ZeroDivisionError:  # x = -b
+            with pytest.raises(ZeroDivisionError):
+                bound.eval(x)
+        else:
+            assert bound.eval(x) == expected
+
+    def test_eval_raises_at_every_pole_of_the_sum(self):
+        bound = BoundSpec(F(1, 3), F(1, 3), [(F(1), 2)])
+        for x in (F(-1, 3), F(0)):  # x + b = 0 although a = b, and x = 0
+            with pytest.raises(ZeroDivisionError):
+                bound.eval(x)
 
     def test_power_guard(self):
         with pytest.raises(ValueError):
