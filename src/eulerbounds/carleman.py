@@ -16,7 +16,10 @@ weight family e*(12n+5)/(12n+11) (from the bare rational bound) and the
 refined family e*((12n+5)/(12n+11) - eps_n).  Every weight comparison
 made here is either an exact rational comparison or a rigorous enclosure
 check; infinite sums are only ever reported as labeled finite-N
-truncations.
+truncations.  The Polya sum is bracketed by the floor and ceiling of
+each term over one power of ten, and each power-law mean is a root of
+the running product bracketed over the power of ten set by the requested
+width, so neither sum grows its endpoints with the number of terms.
 """
 
 from __future__ import annotations
@@ -109,9 +112,12 @@ class TestSequence:
 
         Geometric: the product is r^(n(n+1)/2), so the mean is
         r^((n+1)/2) -- exact for odd n, an exact power times sqrt(r)
-        otherwise.  Power law p: the mean is (n!)^(-p/n), one integer
-        root.  Custom: root of the running product (quadratic cost; fine
-        for the table sizes used here).
+        otherwise.  Power law p: the root of the running product
+        1/(n!)^p, an exact point when (n!)^p is a perfect n-th power and
+        otherwise a bracket whose endpoints share the decimal denominator
+        10^d, 10^-d <= width, so that a sum of such means keeps that one
+        denominator.  Custom: root of the running product (quadratic
+        cost; fine for the table sizes used here).
         """
         if self.kind == "geometric":
             r = self.ratio
@@ -120,13 +126,10 @@ class TestSequence:
             base = r ** (n // 2)
             return nth_root_interval(r, 2, width / base).scale(base)
         if self.kind == "powerlaw":
-            p = self.exponent
             fact = 1
             for i in range(2, n + 1):
                 fact *= i
-            root = nth_root_interval(Fraction(fact**p.numerator), n * p.denominator,
-                                     width)
-            return root.reciprocal()
+            return nth_root_interval(Fraction(1, fact ** int(self.exponent)), n, width)
         prod = Fraction(1)
         for k in range(1, n + 1):
             prod *= self.term(k)
@@ -312,16 +315,29 @@ def geometric_mean_sum(seq: TestSequence, N: int) -> RatInterval:
 
 
 def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval:
-    """Enclose rhs = sum_{n<=N} weight(n) a_n: exact for the telescoping
-    family, an e-interval multiple of width DEFAULT_WIDTH for the simple
-    and refined ones."""
+    """Enclose rhs = sum_{n<=N} weight(n) a_n.
+
+    Telescoping family: each term (n+1)^n a_n / n^n is bracketed by its
+    floor and ceiling over S = 10^(40 + digits of N), one integer divmod,
+    and the integer brackets are summed, so the width is at most
+    N/S < 10^-40 and the endpoints stay near 40 digits.  The result is
+    an exact point when every term is exact at that scale (a short
+    decimal); an exact sum built from inexact terms comes back as a
+    bracket around it.  Simple and refined families: an e-interval
+    multiple of the exact rational sum of the weights over e, of width
+    DEFAULT_WIDTH.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     if scheme.kind == "polya":
-        total = Fraction(0)
+        scale = 10 ** (40 + len(str(N)))
+        lo = hi = 0
         for n in range(1, N + 1):
-            total += Fraction((n + 1) ** n, n**n) * seq.term(n)
-        return RatInterval.point(total)
+            a = seq.term(n)
+            q, r = divmod((n + 1) ** n * a.numerator * scale, n**n * a.denominator)
+            lo += q
+            hi += q + (r != 0)
+        return RatInterval(Fraction(lo, scale), Fraction(hi, scale))
     total = Fraction(0)
     for n in range(1, N + 1):
         total += weight_over_e(scheme, n) * seq.term(n)

@@ -118,11 +118,6 @@ class RatInterval:
 
     __rmul__ = __mul__
 
-    def reciprocal(self) -> "RatInterval":
-        if self.lo <= 0 <= self.hi:
-            raise ZeroDivisionError("reciprocal of an interval containing 0")
-        return RatInterval(1 / self.hi, 1 / self.lo)
-
     def intersect(self, other: "RatInterval") -> "RatInterval":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
         if lo > hi:

@@ -1,5 +1,6 @@
 """Telescoping weights, the sharpened weight families, inequality sums."""
 
+import functools
 from fractions import Fraction as F
 
 import mpmath
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from eulerbounds import carleman
 from eulerbounds.carleman import (TestSequence, WeightScheme, _strictly_below,
-                                  carleman_sums, epsilon_term, polya_identities,
-                                  telescoping_weight, termwise_weight_chain,
-                                  weight, weight_over_e)
+                                  carleman_sums, epsilon_term, geometric_mean_sum,
+                                  polya_identities, telescoping_weight,
+                                  termwise_weight_chain, weight, weight_over_e,
+                                  weighted_sum)
 from eulerbounds.enclosure import (_GUARD_BITS, DEFAULT_WIDTH, RatInterval,
                                    _normalized_fixed, euler_number_interval,
                                    integer_nth_root, normalized_euler_interval)
@@ -222,3 +224,69 @@ class TestCarlemanSums:
             lhs, rhs = carleman_sums(seq, scheme, 60)
             assert lhs.hi <= rhs.lo
 
+
+def exact_polya_sum(seq: TestSequence, N: int) -> F:
+    """sum_{n<=N} (n+1)^n a_n / n^n in exact Fractions."""
+    total = F(0)
+    for n in range(1, N + 1):
+        total += F((n + 1) ** n, n**n) * seq.term(n)
+    return total
+
+
+class TestPolyaBracket:
+    """The Polya sum as integer floors and ceilings over one power of ten."""
+
+    @staticmethod
+    def check_bracket(seq: TestSequence, N: int) -> RatInterval:
+        rhs = weighted_sum(seq, WeightScheme.polya(), N)
+        assert exact_polya_sum(seq, N) in rhs
+        assert rhs.width <= DEFAULT_WIDTH
+        scale = 10 ** (40 + len(str(N)))
+        assert scale % rhs.lo.denominator == 0
+        assert scale % rhs.hi.denominator == 0
+        return rhs
+
+    @given(st.integers(min_value=2, max_value=20).flatmap(
+               lambda b: st.integers(min_value=1, max_value=b - 1).map(lambda a: F(a, b))),
+           st.integers(min_value=1, max_value=120))
+    @settings(max_examples=40, deadline=None)
+    def test_brackets_the_exact_sum(self, r, N):
+        self.check_bracket(TestSequence.geometric(r), N)
+
+    @pytest.mark.parametrize("N", [300, 400])
+    def test_brackets_the_exact_sum_at_deep_sizes(self, N):
+        self.check_bracket(TestSequence.geometric(F(7, 16)), N)
+
+    @pytest.mark.parametrize("seq, N", [(TestSequence.geometric(F(9, 10)), N)
+                                        for N in range(1, 6)]
+                             + [(TestSequence.custom([F(1, 2), F(1, 3)]), 2)])
+    def test_short_decimal_terms_give_exact_points(self, seq, N):
+        rhs = self.check_bracket(seq, N)
+        assert rhs == RatInterval.point(exact_polya_sum(seq, N))
+
+
+@functools.cache
+def power_law_lhs(p: int, N: int) -> RatInterval:
+    return geometric_mean_sum(TestSequence.power_law(p), N)
+
+
+class TestPowerLawOracle:
+    """The power-law lhs against mpmath at three times the digits."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 50, 200, 260])
+    def test_contains_the_mpmath_sum(self, p, N):
+        lhs = power_law_lhs(p, N)
+        assert lhs.width <= DEFAULT_WIDTH
+        with mpmath.workdps(90):  # DEFAULT_WIDTH is 1e-30
+            total = mpmath.fsum(mpmath.exp(-p * mpmath.loggamma(n + 1) / n)
+                                for n in range(1, N + 1))
+            man, exp = total.man_exp
+        ref = F(man) * F(2) ** exp
+        slack = F(1, 10**85)  # above mpmath's error on a sum below 10
+        assert lhs.lo - slack <= ref <= lhs.hi + slack
+
+    def test_endpoints_stay_small(self):
+        lhs = power_law_lhs(2, 260)
+        for end in (lhs.lo, lhs.hi):
+            assert max(end.numerator.bit_length(), end.denominator.bit_length()) <= 200

@@ -5,9 +5,11 @@ import io
 import pytest
 
 from eulerbounds import enclosure
+from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
                              dec_ceil, dec_floor, dec_trunc, main,
                              parse_indices)
+from eulerbounds.enclosure import RatInterval
 from fractions import Fraction as F
 
 
@@ -199,6 +201,46 @@ class TestCommands:
                       "--width", "1e-8")
         assert code == EXIT_FAIL
         assert "out of order" in capsys.readouterr().err
+
+
+class TestCarlemanBytes:
+    """Printed sums, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("carleman", "--seq", "geometric:9/10", "--scheme", "polya", "--N", "5"),
+         "sequence geometric(9/10), scheme polya, N=5\n"
+         "lhs  = [4.061248439666, 4.061248439667]\n"
+         "rhs  = [8.421634717425, 8.421634717425]\n"
+         "lhs <= rhs rigorously: yes\n"),
+        (("carleman", "--seq", "powerlaw:2", "--N", "200"),
+         "sequence powerlaw(2), scheme refined(dedup), N=200\n"
+         "lhs  = [3.060565323241, 3.060565323242]\n"
+         "rhs  = [3.670492072621, 3.670492072622]\n"
+         "lhs <= rhs rigorously: yes\n"),
+        # the exact sum 2/3 + 1/3 = 1 comes from inexact decimal terms, so
+        # the Polya bracket shows one unit of the last digit on each side
+        (("carleman", "--seq", "custom:1/3,4/27", "--scheme", "polya", "--N", "2"),
+         "sequence custom[2], scheme polya, N=2\n"
+         "lhs  = [0.555555555555, 0.555555555556]\n"
+         "rhs  = [0.999999999999, 1.000000000001]\n"
+         "lhs <= rhs rigorously: yes\n"),
+    ])
+    def test_text_output(self, argv, expected):
+        assert run(*argv) == (EXIT_OK, expected)
+
+    def test_polya_csv_total(self):
+        code, out = run("carleman", "--seq", "geometric:7/16", "--scheme", "polya",
+                        "--N", "350", "--format", "csv")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == (
+            "total,,1.292229421595,1.292229421596,1.665130214055,1.665130214056")
+
+    def test_polya_bracket_around_an_exact_one(self):
+        seq = TestSequence.custom([F(1, 3), F(4, 27)])
+        lhs, rhs = carleman_sums(seq, WeightScheme.polya(), 2)
+        assert rhs.lo < 1 < rhs.hi
+        assert lhs == RatInterval.point(F(5, 9))
+        assert lhs.hi <= rhs.lo
 
 
 class TestDeterminism:

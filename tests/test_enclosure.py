@@ -72,11 +72,6 @@ class TestRatInterval:
         assert (a * b) == RatInterval(-1, 6)
         assert b.midpoint == F(5, 4) and b.width == F(7, 2)
 
-    def test_reciprocal(self):
-        assert RatInterval(F(1, 2), 2).reciprocal() == RatInterval(F(1, 2), 2)
-        with pytest.raises(ZeroDivisionError):
-            RatInterval(-1, 1).reciprocal()
-
     def test_intersection_guards_soundness(self):
         with pytest.raises(ValueError):
             RatInterval(0, 1).intersect(RatInterval(2, 3))
