@@ -9,7 +9,7 @@ All trusted computation is exact rational arithmetic; rigorous numeric
 claims use rational-endpoint enclosures with outward rounding.
 """
 
-from .algebra import PoleError, Poly, RatFunc, poly_gcd, rat, rat_str
+from .algebra import PoleError, Poly, RatFunc, poly_gcd, rat_str
 from .carleman import (ChainReport, TestSequence, WeightScheme, carleman_sums,
                        epsilon_term, polya_identities, telescoping_weight,
                        termwise_weight_chain, weight, weight_over_e)

@@ -20,22 +20,13 @@ fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
-
-
-def rat(value: Union[int, str, Fraction]) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' / decimal strings to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(str(value))
 
 
 def rat_str(q: Fraction) -> str:
@@ -254,10 +245,6 @@ class Poly:
 
     def to_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Poly":
-        return cls([rat(s) for s in items])
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

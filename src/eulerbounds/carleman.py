@@ -229,12 +229,6 @@ class ChainReport:
     def passed(self) -> bool:
         return all(idx is None for _, idx in self.first_failures)
 
-    def first_failure(self, link: str) -> Optional[int]:
-        for name, idx in self.first_failures:
-            if name == link:
-                return idx
-        raise KeyError(link)
-
 
 # Bits added to a straddling bracket: 34 bits is about ten decimal digits.
 _REFINE_BITS = 34

@@ -26,8 +26,8 @@ from typing import Optional, Sequence
 from . import carleman as carl
 from . import keller as kel
 from .algebra import rat_str
-from .enclosure import (DEFAULT_WIDTH, RefinementExhausted, SoundnessError,
-                        check_classic_at, check_certified_at)
+from .enclosure import (DEFAULT_WIDTH, RatInterval, RefinementExhausted,
+                        SoundnessError, check_classic_at, check_certified_at)
 from .prover import match_reference_polynomials, prove_bound, render_certificate
 from .series import (Variant, bare_optimal_bound, expand_bound_gap,
                      expand_relative_error, lower_bound, solve_optimal_params,
@@ -254,6 +254,10 @@ _CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"
 
 
 def cmd_keller(args, out) -> int:
+    if args.symbolic and args.format != "text":
+        raise UsageError("--symbolic writes text only")
+    if args.exact and args.format != "csv":
+        raise UsageError("--exact needs --format csv")
     variant = Variant.parse(args.variant)
     if args.symbolic:
         limit, rate = kel.sandwich_limits(variant)
@@ -314,6 +318,8 @@ def cmd_keller(args, out) -> int:
 
 
 def cmd_carleman(args, out) -> int:
+    if args.mode != "sums" and args.format != "text":
+        raise UsageError(f"--mode {args.mode} writes text only")
     variant = Variant.parse(args.variant)
     if args.mode == "polya":
         n = args.N
@@ -338,14 +344,16 @@ def cmd_carleman(args, out) -> int:
         raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} terms "
                          "of the custom sequence")
     scheme = parse_scheme(args.scheme, variant)
-    lhs, rhs = carl.carleman_sums(seq, scheme, args.N)
     if args.format == "csv":
+        # the rows' enclosures summed in order are geometric_mean_sum's lhs
+        per_term = DEFAULT_WIDTH / args.N
+        terms = [seq.geometric_mean_enclosure(n, per_term) for n in range(1, args.N + 1)]
+        lhs = sum(terms, RatInterval.point(0))
+        rhs = carl.weighted_sum(seq, scheme, args.N)
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "a_n", "lhs_term_lo", "lhs_term_hi",
                          "weight_lo", "weight_hi"])
-        per_term = DEFAULT_WIDTH / args.N
-        for n in range(1, args.N + 1):
-            term = seq.geometric_mean_enclosure(n, per_term)
+        for n, term in enumerate(terms, 1):
             w = carl.weight(scheme, n)
             w_lo, w_hi = (w, w) if isinstance(w, Fraction) else (w.lo, w.hi)
             writer.writerow([n, rat_str(seq.term(n)),
@@ -358,6 +366,7 @@ def cmd_carleman(args, out) -> int:
                          dec_floor(rhs.lo, args.digits),
                          dec_ceil(rhs.hi, args.digits)])
         return EXIT_OK if lhs.hi <= rhs.lo else EXIT_FAIL
+    lhs, rhs = carl.carleman_sums(seq, scheme, args.N)
     out.write(f"sequence {seq.describe()}, scheme {scheme.describe()}, N={args.N}\n")
     out.write(f"lhs  = {fmt_interval(lhs, args.digits)}\n")
     out.write(f"rhs  = {fmt_interval(rhs, args.digits)}\n")

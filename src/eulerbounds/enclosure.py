@@ -64,8 +64,8 @@ class RatInterval:
 
     def __init__(self, lo: Scalar, hi: Scalar):
         lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        if lo > hi:  # every interval is an enclosure: a fault, not bad input
+            raise SoundnessError(f"inverted interval [{lo}, {hi}] (soundness bug)")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

@@ -15,27 +15,25 @@ concave mirror image proves strict upper bounds.
 
 Positivity of a polynomial on a ray is certified by dividing out the
 boundary root, Taylor-shifting to the base point and checking that all
-coefficients share one sign -- a sufficient condition that happens to be
-conclusive for every certified bound here.  When it is not conclusive the
-prover escalates to segment certificates (a Moebius change of variables
-maps [lo, hi) to [0, oo), where the same coefficient test applies),
-bisecting up to a fixed depth, plus a shifted tail certificate.  A failed
-certification never produces a wrong certificate; the prover then hunts
-for an exact numeric refutation witness instead.
+coefficients share one sign.  The test is only sufficient, but it is
+conclusive for every certified bound here, so it is the one proof form:
+cleared numerator = (x - 1)^m * shifted(x - 1), every coefficient of one
+sign, which a reader can recheck by hand.  Mixed signs give no
+certificate, never a wrong one; the prover then hunts for an exact
+numeric refutation witness instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .algebra import Poly, RatFunc, Scalar, rat_str
 from .enclosure import RatInterval, fraction_normalized_euler_interval
 from .series import BoundSpec, log_gap_series
 
 CERTIFICATE_FORMAT_VERSION = 1
-MAX_BISECTION_DEPTH = 12
 REFUTATION_WIDTH = Fraction(1, 10**40)
 REFUTATION_GRID = tuple(Fraction(v) for v in
                         (1, Fraction(3, 2), 2, 3, 4, 5, 10, 100))
@@ -46,27 +44,14 @@ class DenominatorSignUnknown(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class Segment:
-    """Certified sign on [lo, hi): ``transformed`` is the polynomial in y
-    after substituting x = (lo + hi*y)/(1+y), cleared of (1+y) powers; its
-    coefficients all carry the claimed sign."""
-
-    lo: Fraction
-    hi: Fraction
-    transformed: Poly
-
-
-@dataclass(frozen=True)
 class SignCertificate:
     """Proof that a rational function keeps one sign on [base_point, oo).
 
     The denominator is separately certified positive, so the claim reduces
     to the numerator:  cleared_numerator = (x - base_point)^multiplicity *
     shifted_poly(x - base_point) with every ``shifted_poly`` coefficient of
-    the claimed sign (or zero) -- or, in the escalated form, a list of
-    Moebius segment certificates covering [base_point, tail_point) with the
-    shifted tail certificate covering the rest.  Strict sign holds for
-    x > base_point, and at the base point too when multiplicity is 0.
+    the claimed sign (or zero).  Strict sign holds for x > base_point, and
+    at the base point too when multiplicity is 0.
     """
 
     base_point: Fraction
@@ -74,12 +59,8 @@ class SignCertificate:
     cleared_numerator: Poly
     boundary_multiplicity: int
     shifted_poly: Poly
-    segments: tuple[Segment, ...] = ()
-    tail_point: Optional[Fraction] = None
-
-    @property
-    def is_simple(self) -> bool:
-        return not self.segments
+    # always empty; perfbench/tracer.py reads it for its prover.segments metric
+    segments: ClassVar[tuple] = ()
 
 
 def _uniform_sign(p: Poly) -> Optional[int]:
@@ -96,66 +77,19 @@ def _uniform_sign(p: Poly) -> Optional[int]:
     return sign or None
 
 
-def _moebius_transform(p: Poly, lo: Fraction, hi: Fraction) -> Poly:
-    """(1+y)^deg * p((lo + hi*y)/(1+y)): sign on y >= 0 equals the sign of
-    p on [lo, hi)."""
-    d = p.degree()
-    num = Poly((lo, hi))
-    den = Poly((1, 1))
-    out = Poly.zero()
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        out = out + (num**i) * (den ** (d - i)) * c
-    return out
-
-
-def _segment_certificates(p: Poly, lo: Fraction, hi: Fraction, sign: int,
-                          depth: int) -> Optional[list[Segment]]:
-    q = _moebius_transform(p, lo, hi)
-    if _uniform_sign(q) == sign and q.coeff(0) != 0:
-        return [Segment(lo, hi, q)]
-    if depth == 0:
-        return None
-    mid = (lo + hi) / 2
-    left = _segment_certificates(p, lo, mid, sign, depth - 1)
-    if left is None:
-        return None
-    right = _segment_certificates(p, mid, hi, sign, depth - 1)
-    if right is None:
-        return None
-    return left + right
-
-
 def poly_sign_certificate(p: Poly, x0: Scalar) -> Optional[SignCertificate]:
     """Certify that p keeps one strict sign on (x0, oo) (weak at x0 only
-    through the (x - x0)^m factor).  Returns None when no certificate is
-    found; never returns a wrong certificate."""
+    through the (x - x0)^m factor).  Returns None when the shifted
+    coefficients have mixed signs; never returns a wrong certificate."""
     x0 = Fraction(x0)
     if p.is_zero:
         return None
     mult, reduced = p.factor_out_root(x0)
     shifted = reduced.shift(x0)
     sign = _uniform_sign(shifted)
-    if sign is not None:
-        return SignCertificate(x0, sign, p, mult, shifted)
-    # escalation: the sign, if there is one, must match both the value at
-    # x0 and the sign at infinity
-    lead_sign = 1 if reduced.leading() > 0 else -1
-    base_sign = 1 if reduced.eval(x0) > 0 else -1
-    if lead_sign != base_sign:
+    if sign is None:
         return None
-    for j in range(MAX_BISECTION_DEPTH + 1):
-        tail = x0 + 2**j
-        tail_shift = reduced.shift(tail)
-        if _uniform_sign(tail_shift) == lead_sign:
-            segs = _segment_certificates(reduced, x0, tail, lead_sign,
-                                         MAX_BISECTION_DEPTH)
-            if segs is None:
-                return None
-            return SignCertificate(x0, lead_sign, p, mult, tail_shift,
-                                   tuple(segs), tail)
-    return None
+    return SignCertificate(x0, sign, p, mult, shifted)
 
 
 def sign_certificate(h: RatFunc, x0: Scalar) -> Optional[SignCertificate]:
@@ -395,9 +329,6 @@ def render_certificate(report: ProofReport) -> str:
         lines.append(f"boundary-multiplicity: {cert.boundary_multiplicity}")
         lines.append("shifted-coefficients: "
                      + " ".join(rat_str(c) for c in cert.shifted_poly.coeffs))
-        if cert.segments:
-            lines.append(f"segments: {len(cert.segments)} covering "
-                         f"[{rat_str(cert.base_point)}, {rat_str(cert.tail_point)})")
     lines.append(f"bound-positive: {'yes' if report.bound_positive else 'no'}")
     lines.append("limit-at-infinity: "
                  + ("0 (exact)" if report.limit_at_infinity_ok else "nonzero"))

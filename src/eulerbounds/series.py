@@ -36,9 +36,6 @@ class DegenerateSystem(ArithmeticError):
     """The optimal-parameter elimination failed to stay triangular."""
 
 
-DEFAULT_ORDER = 10  # two orders past the deepest coefficient we assert on
-
-
 class ParamPoly:
     """Element of Q[a,b]: sparse sum of c_ij * a^i * b^j, no stored zeros."""
 

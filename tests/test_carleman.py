@@ -90,14 +90,13 @@ class TestWeightChain:
         report = termwise_weight_chain(100, Variant.DEDUP)
         assert report.passed
         assert report.non_improving == (1,)
-        assert report.first_failure("value_vs_refined") is None
+        assert dict(report.first_failures)["value_vs_refined"] is None
 
     def test_as_written_chain_fails_at_one(self):
         report = termwise_weight_chain(3, Variant.AS_WRITTEN)
         assert not report.passed
-        assert report.first_failure("value_vs_refined") == 1
-        assert report.first_failure("value_vs_simple") is None
-        assert report.first_failure("simple_vs_one") is None
+        assert dict(report.first_failures) == {
+            "value_vs_refined": 1, "value_vs_simple": None, "simple_vs_one": None}
         assert report.non_improving == ()
 
     def test_refined_below_simple_beyond_one(self):

@@ -235,6 +235,15 @@ class TestCarlemanBytes:
         assert out.splitlines()[-1] == (
             "total,,1.292229421595,1.292229421596,1.665130214055,1.665130214056")
 
+    def test_csv_encloses_each_mean_once(self, monkeypatch):
+        calls = []
+        enclose = TestSequence.geometric_mean_enclosure
+        monkeypatch.setattr(TestSequence, "geometric_mean_enclosure",
+                            lambda seq, n, width: calls.append(n) or enclose(seq, n, width))
+        code, out = run("carleman", "--seq", "powerlaw:2", "--N", "20", "--format", "csv")
+        assert code == EXIT_OK and len(out.splitlines()) == 22
+        assert calls == list(range(1, 21))
+
     def test_polya_bracket_around_an_exact_one(self):
         seq = TestSequence.custom([F(1, 3), F(4, 27)])
         lhs, rhs = carleman_sums(seq, WeightScheme.polya(), 2)
@@ -283,6 +292,12 @@ class TestUsageErrors:
         ("verify-all", "--digits", "5"),
         ("optimize", "--variant", "dedup"),
         ("prove", "--digits", "3"),
+        ("keller", "--symbolic", "--format", "json"),
+        ("keller", "--symbolic", "--format", "csv"),
+        ("keller", "--exact"),
+        ("keller", "--exact", "--format", "json"),
+        ("carleman", "--mode", "chain", "--format", "csv"),
+        ("carleman", "--mode", "polya", "--format", "csv"),
     ])
     def test_exit_64(self, argv, capsys):
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE
@@ -295,6 +310,15 @@ class TestEnclosureFailures:
         monkeypatch.setattr(enclosure, "_normalized_stage",
                             lambda p, q, stage: disjoint[min(stage, 1)])
         assert main(["check", "--n", "1"], out=io.StringIO()) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("failed:") and "soundness" in err
+
+    @pytest.mark.parametrize("argv", [("check", "--n", "2"), ("keller", "--n", "10")])
+    def test_inverted_enclosure_is_a_soundness_failure(self, argv, monkeypatch, capsys):
+        fixed = enclosure._normalized_fixed
+        monkeypatch.setattr(enclosure, "_normalized_fixed",
+                            lambda p, q, prec: fixed(p, q, prec)[::-1])
+        assert main(list(argv), out=io.StringIO()) == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("failed:") and "soundness" in err
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerbounds.enclosure import (DomainError, RatInterval,
-                                   RefinementExhausted, _exp_fixed,
+                                   RefinementExhausted, SoundnessError, _exp_fixed,
                                    _ln1p_fixed, check_classic_at,
                                    check_certified_at, euler_number_interval,
                                    fraction_normalized_euler_interval,
@@ -61,7 +61,7 @@ def ln1p_interval(n, k: int) -> RatInterval:
 
 class TestRatInterval:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SoundnessError):
             RatInterval(1, 0)
 
     def test_arithmetic(self):

@@ -16,7 +16,8 @@ from eulerbounds.prover import (REFERENCE_LOWER_CERT_NUMERATOR,
                                 match_reference_polynomials,
                                 poly_sign_certificate, prove_bound,
                                 render_certificate, sign_certificate)
-from eulerbounds.series import BoundSpec, Variant, bare_optimal_bound, lower_bound, upper_bound
+from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound, expand_bound_gap,
+                               lower_bound, upper_bound)
 
 X = Poly.x()
 
@@ -76,36 +77,29 @@ class TestPolySignCertificate:
         cert = poly_sign_certificate(P(0, -1), 1)  # -x
         assert cert.claimed_sign == -1 and cert.boundary_multiplicity == 0
 
-    def test_escalation_certifies_positive_wiggle(self):
-        # (x-3)^2 + 1: positive everywhere, mixed coefficients after the
-        # shift to 1, so the segment machinery has to fire
-        p = P(-3, 1) ** 2 + Poly.one()
-        cert = poly_sign_certificate(p, 1)
-        assert cert is not None and cert.claimed_sign == 1
-        assert not cert.is_simple and cert.tail_point is not None
-
     def test_sign_change_returns_none(self):
         assert poly_sign_certificate(P(-3, 1) * P(-4, 1) * P(1, 1), 1) is None
+
+    def test_mixed_shifted_signs_return_none(self):
+        # (x-3)^2 + 1 is positive everywhere, but its shift to 1 is
+        # y^2 - 4y + 5: the one proof form needs uniform signs
+        assert poly_sign_certificate(P(-3, 1) ** 2 + Poly.one(), 1) is None
 
     def test_zero_polynomial_not_certified(self):
         assert poly_sign_certificate(Poly.zero(), 1) is None
 
     def test_reconstruction_invariant(self):
-        # cleared numerator == (x - x0)^mult * shifted(x - anchor), where the
-        # anchor is the base point for simple certificates and the tail point
-        # for segmented ones
-        for p in (P(-1, 1) ** 2 * P(1, 0, 3), P(5, 1) * P(2, 1), P(-3, 1) ** 2 + Poly.one()):
+        # cleared numerator == (x - x0)^mult * shifted(x - x0)
+        for p in (P(-1, 1) ** 2 * P(1, 0, 3), P(5, 1) * P(2, 1)):
             cert = poly_sign_certificate(p, 1)
             assert cert is not None
-            anchor = cert.base_point if cert.is_simple else cert.tail_point
             rebuilt = (P(-1, 1) ** cert.boundary_multiplicity
-                       * cert.shifted_poly.shift(-anchor))
+                       * cert.shifted_poly.shift(-cert.base_point))
             assert rebuilt == cert.cleared_numerator
 
     @pytest.mark.parametrize("h,base", [
         (log_gap_second_derivative(lower_bound()), F(1)),
         (log_gap_second_derivative(upper_bound(Variant.DEDUP)), F(1)),
-        (RatFunc((P(-3, 1) ** 2 + Poly.one()), P(1, 0, 1)), F(1)),
     ])
     def test_certificate_soundness_at_random_points(self, h, base):
         cert = sign_certificate(h, base)
@@ -127,7 +121,6 @@ class TestCertifiedBounds:
         cert = sign_certificate(h, F(1))
         assert cert.claimed_sign == 1
         assert cert.boundary_multiplicity == 0
-        assert cert.is_simple
         assert cert.shifted_poly.degree() == 10
         assert cert.shifted_poly.primitive() == REFERENCE_LOWER_CERT_NUMERATOR
 
@@ -148,6 +141,16 @@ class TestCertifiedBounds:
     def test_prove_bare_upper(self):
         # the bare approximant alone is already a strict upper bound
         assert prove_bound(bare_optimal_bound(), "upper").proven
+
+    def test_hierarchy_orders_proven(self):
+        # truncating the bare bound's gap series after 1/x^K gives a lower
+        # bound for odd K and an upper bound for even K
+        bare = bare_optimal_bound()
+        gap = expand_bound_gap(bare, 9)
+        for K in range(5, 9):
+            bound = BoundSpec(bare.a, bare.b, [(gap[k], k) for k in range(1, K + 1)])
+            report = prove_bound(bound, "lower" if K % 2 else "upper")
+            assert report.proven, (K, report.conclusion)
 
     def test_refute_as_written_upper(self):
         report = prove_bound(upper_bound(Variant.AS_WRITTEN), "upper")

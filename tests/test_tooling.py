@@ -56,24 +56,42 @@ def name_uses(tree: ast.AST) -> list[tuple[str, int]]:
     return uses
 
 
+def public_definitions(tree: ast.Module):
+    """(name, first line, last line) of every public top-level function,
+    class and constant, and of every public method or property of a public
+    class."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item.lineno, item.end_lineno
+
+
 def unreferenced_public_names(modules: list[Path], others: list[Path]) -> list[str]:
-    """Public top-level functions and classes of ``modules`` that nothing
-    references: not their own module outside their definition, not another
-    of ``modules``, not one of ``others``."""
+    """Public definitions of ``modules`` that nothing references: not their
+    own module outside their definition, not another of ``modules``, not
+    one of ``others``.  A method counts as used when any attribute of its
+    name is read."""
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in modules + others}
     uses = {path: name_uses(tree) for path, tree in trees.items()}
     found = []
     for path in modules:
-        for node in trees[path].body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                continue
-            span = range(node.lineno, node.end_lineno + 1)
-            used = any(name == node.name and not (where == path and line in span)
-                       for where, items in uses.items() for name, line in items)
+        for name, first, last in public_definitions(trees[path]):
+            used = any(used_name == name and not (where == path and first <= line <= last)
+                       for where, items in uses.items() for used_name, line in items)
             if not used:
-                found.append(f"{path.name}:{node.name}")
+                found.append(f"{path.name}:{name}")
     return found
 
 
@@ -89,12 +107,21 @@ def test_reference_scan_sees_uses_outside_the_definition(tmp_path):
                    "def only_recursive():\n    return only_recursive()\n\n"
                    "def named_by_string():\n    pass\n\n"
                    "class Unused:\n    pass\n\n"
+                   "class Kept:\n"
+                   "    def called(self):\n        return self.property_read\n\n"
+                   "    @property\n    def property_read(self):\n        return 1\n\n"
+                   "    def dead_method(self):\n        return self.dead_method()\n\n"
+                   "    def _private(self):\n        pass\n\n"
+                   "class _Hidden:\n    def hook(self):\n        pass\n\n"
                    "def _private():\n    pass\n\n"
-                   "VALUE = used()\n")
+                   "VALUE = used()\n"
+                   "LIMIT: int = 3\n"
+                   "_INTERNAL = 4\n")
     other = tmp_path / "other.py"
-    other.write_text("getattr(lib, 'named_by_string')\n")
+    other.write_text("getattr(lib, 'named_by_string')\nlib.Kept().called()\n"
+                     "print(lib.VALUE)\n")
     assert unreferenced_public_names([lib], [other]) == [
-        "lib.py:only_recursive", "lib.py:Unused"]
+        "lib.py:only_recursive", "lib.py:Unused", "lib.py:dead_method", "lib.py:LIMIT"]
 
 
 def load_tracer():
