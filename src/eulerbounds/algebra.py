@@ -135,9 +135,6 @@ class Poly:
                 out[i + j] += a * b
         return Poly(out)
 
-    def __rmul__(self, other: Scalar) -> "Poly":
-        return self.__mul__(other)
-
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative polynomial power")
@@ -324,8 +321,6 @@ class RatFunc:
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
@@ -335,16 +330,11 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "RatFunc":
-        return (-self) + other
-
     def __mul__(self, other) -> "RatFunc":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RatFunc":
         other = self._coerce(other)
@@ -353,9 +343,6 @@ class RatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return self._coerce(other) / self
 
     def derivative(self) -> "RatFunc":
         """Quotient rule, returned in canonical form."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -38,6 +39,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
+
+# CPython refuses to print an integer of more than 4300 digits; a request
+# whose output could reach that size is refused before any work.
+MAX_PRINTED_DIGITS = 4000
 
 
 class UsageError(Exception):
@@ -123,21 +128,29 @@ def parse_sequence(text: str) -> carl.TestSequence:
                      "(use geometric:R, powerlaw:P, custom:a1,a2,...)")
 
 
-def parse_scheme(text: str, variant: Variant) -> carl.WeightScheme:
-    if text == "polya":
-        return carl.WeightScheme.polya()
-    if text == "simple":
-        return carl.WeightScheme.simple()
-    if text == "refined":
-        return carl.WeightScheme.refined(variant)
-    raise UsageError(f"unknown scheme {text!r}")
-
+_SCHEMES = {
+    "polya": lambda variant: carl.WeightScheme.polya(),
+    "simple": lambda variant: carl.WeightScheme.simple(),
+    "refined": carl.WeightScheme.refined,
+}
 
 _BOUNDS = {
     "bare": lambda variant: bare_optimal_bound(),
     "u": lambda variant: lower_bound(),
     "v": upper_bound,
 }
+
+
+def _variant(args) -> Variant:
+    return Variant(args.variant or Variant.DEDUP.value)
+
+
+def _refuse_unread(args, mode: str, *flags: str) -> None:
+    """Flags default to None where some mode does not read them; refuse
+    any that ``mode`` would silently ignore."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"{mode} does not read --{flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +160,7 @@ _BOUNDS = {
 
 def cmd_expand(args, out) -> int:
     if args.bound is None:
+        _refuse_unread(args, "the symbolic expansion", "variant")
         if args.order < 3:
             raise UsageError("the symbolic expansion needs --order >= 3")
         w = expand_relative_error(args.order)
@@ -156,7 +170,7 @@ def cmd_expand(args, out) -> int:
             body = " + ".join(f"{c}*a^{i}*b^{j}" for i, j, c in triples) or "0"
             out.write(f"t^{k}: {body}\n")
         return EXIT_OK
-    bound = _BOUNDS[args.bound](Variant.parse(args.variant))
+    bound = _BOUNDS[args.bound](_variant(args))
     order = max(args.order, bound.max_power())
     gap = expand_bound_gap(bound, order)
     out.write(f"gap series (1/e)(1+1/x)^x - bound, bound = {bound.describe()}\n")
@@ -175,8 +189,7 @@ def cmd_optimize(args, out) -> int:
 
 
 def cmd_prove(args, out) -> int:
-    variant = Variant.parse(args.variant)
-    bound = _BOUNDS[args.bound](variant)
+    bound = _BOUNDS[args.bound](_variant(args))
     side = args.side or {"bare": "upper", "u": "lower", "v": "upper"}[args.bound]
     report = prove_bound(bound, side)
     matches = (match_reference_polynomials(report)
@@ -218,7 +231,9 @@ def cmd_check(args, out) -> int:
     ns = parse_indices(args.n)
     if not ns or min(ns) < 1:
         raise UsageError("indices must be >= 1")
-    variant = Variant.parse(args.variant)
+    if args.target == "classic":
+        _refuse_unread(args, "--target classic", "variant")
+    variant = _variant(args)
     worst = EXIT_OK
     results = []
     for n in ns:
@@ -258,8 +273,9 @@ def cmd_keller(args, out) -> int:
         raise UsageError("--symbolic writes text only")
     if args.exact and args.format != "csv":
         raise UsageError("--exact needs --format csv")
-    variant = Variant.parse(args.variant)
+    variant = _variant(args)
     if args.symbolic:
+        _refuse_unread(args, "--symbolic", "n", "width")
         limit, rate = kel.sandwich_limits(variant)
         out.write(f"sandwich limit = {rat_str(limit)}, "
                   f"n^2 rate = {rat_str(rate)} ({dec_trunc(rate, args.digits)})\n")
@@ -271,10 +287,10 @@ def cmd_keller(args, out) -> int:
                       f"lead {rat_str(top.leading())}, "
                       f"next {rat_str(top.coeff(top.degree() - 1))}\n")
         return EXIT_OK
-    width = parse_rational(args.width)
+    width = parse_rational("1e-20" if args.width is None else args.width)
     if width <= 0:
         raise UsageError("width must be positive")
-    ns = parse_indices(args.n)
+    ns = parse_indices(args.n or ["10", "100", "1000"])
     if not ns or min(ns) < 2:
         raise UsageError("difference-sequence indices must be >= 2")
     rows = kel.convergence_table(ns, width, variant)
@@ -320,16 +336,21 @@ def cmd_keller(args, out) -> int:
 def cmd_carleman(args, out) -> int:
     if args.mode != "sums" and args.format != "text":
         raise UsageError(f"--mode {args.mode} writes text only")
-    variant = Variant.parse(args.variant)
     if args.mode == "polya":
+        _refuse_unread(args, "--mode polya", "variant", "seq", "scheme")
         n = args.N
+        if n * len(str(n + 1)) > MAX_PRINTED_DIGITS:
+            raise UsageError(f"--N {n} would print (N+1)^N with more than "
+                             f"{MAX_PRINTED_DIGITS} digits")
         geo, tail = carl.polya_identities(n)
         out.write(f"(c_1...c_{n})^(1/{n}) = {rat_str(geo)}\n")
         out.write(f"tail x_{n} = {rat_str(tail)}\n")
         out.write(f"effective weight c_{n} x_{n} = "
                   f"{rat_str(carl.telescoping_weight(n) * tail)}\n")
         return EXIT_OK
+    variant = _variant(args)
     if args.mode == "chain":
+        _refuse_unread(args, "--mode chain", "seq", "scheme")
         report = carl.termwise_weight_chain(args.N, variant)
         for name, idx in report.first_failures:
             out.write(f"link {name}: "
@@ -339,11 +360,11 @@ def cmd_carleman(args, out) -> int:
         out.write(f"chain N={report.N} variant={report.variant.value}: "
                   f"{'passed' if report.passed else 'FAILED'}\n")
         return EXIT_OK if report.passed else EXIT_FAIL
-    seq = parse_sequence(args.seq)
+    seq = parse_sequence("geometric:1/2" if args.seq is None else args.seq)
     if seq.values is not None and args.N > len(seq.values):
         raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} terms "
                          "of the custom sequence")
-    scheme = parse_scheme(args.scheme, variant)
+    scheme = _SCHEMES[args.scheme or "refined"](variant)
     if args.format == "csv":
         # the rows' enclosures summed in order are geometric_mean_sum's lhs
         per_term = DEFAULT_WIDTH / args.N
@@ -401,8 +422,7 @@ def build_parser() -> _Parser:
             p.add_argument("--digits", type=int, default=12,
                            help="decimal digits in rendered output")
         if variant:
-            p.add_argument("--variant", choices=["as-written", "dedup"],
-                           default="dedup",
+            p.add_argument("--variant", choices=[v.value for v in Variant],
                            help="doubled or single 1/x^5 correction in the upper bound")
         return p
 
@@ -430,8 +450,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("keller", cmd_keller, help="difference-sequence limits and tables")
-    p.add_argument("--n", nargs="+", default=["10", "100", "1000"])
-    p.add_argument("--width", default="1e-20")
+    p.add_argument("--n", nargs="+")
+    p.add_argument("--width")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--exact", action="store_true", help="CSV with exact p/q entries")
     p.add_argument("--symbolic", action="store_true",
@@ -440,9 +460,8 @@ def build_parser() -> _Parser:
     p = add("carleman", cmd_carleman, help="weighted-mean inequality reports")
     p.add_argument("--mode", choices=["sums", "chain", "polya"], default="sums")
     p.add_argument("--N", type=int, default=200)
-    p.add_argument("--seq", default="geometric:1/2")
-    p.add_argument("--scheme", choices=["polya", "simple", "refined"],
-                   default="refined")
+    p.add_argument("--seq")
+    p.add_argument("--scheme", choices=sorted(_SCHEMES))
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
     add("verify-all", cmd_verify_all, digits=False, variant=False,
@@ -461,7 +480,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             raise UsageError("--order must be >= 1")
         if getattr(args, "digits", 1) < 1:
             raise UsageError("--digits must be >= 1")
-        return args.fn(args, out)
+        if getattr(args, "digits", 1) > MAX_PRINTED_DIGITS:
+            raise UsageError(f"--digits must be <= {MAX_PRINTED_DIGITS}")
+        # written only once the handler returns: a failure prints nothing
+        buf = io.StringIO()
+        code = args.fn(args, buf)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -481,6 +504,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         # mathematical claim, not a usage problem
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    out.write(buf.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -82,17 +82,10 @@ class RatInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def __contains__(self, v) -> bool:
-        if isinstance(v, RatInterval):
-            return self.lo <= v.lo and v.hi <= self.hi
-        return self.lo <= Fraction(v) <= self.hi
-
     def __add__(self, other: Union["RatInterval", Scalar]) -> "RatInterval":
         if isinstance(other, RatInterval):
             return RatInterval(self.lo + other.lo, self.hi + other.hi)
         return RatInterval(self.lo + other, self.hi + other)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "RatInterval":
         return RatInterval(-self.hi, -self.lo)
@@ -100,23 +93,11 @@ class RatInterval:
     def __sub__(self, other: Union["RatInterval", Scalar]) -> "RatInterval":
         return self + (-other if isinstance(other, RatInterval) else -Fraction(other))
 
-    def __rsub__(self, other: Scalar) -> "RatInterval":
-        return (-self) + other
-
     def scale(self, c: Scalar) -> "RatInterval":
         c = Fraction(c)
         if c >= 0:
             return RatInterval(self.lo * c, self.hi * c)
         return RatInterval(self.hi * c, self.lo * c)
-
-    def __mul__(self, other: Union["RatInterval", Scalar]) -> "RatInterval":
-        if not isinstance(other, RatInterval):
-            return self.scale(other)
-        products = [self.lo * other.lo, self.lo * other.hi,
-                    self.hi * other.lo, self.hi * other.hi]
-        return RatInterval(min(products), max(products))
-
-    __rmul__ = __mul__
 
     def intersect(self, other: "RatInterval") -> "RatInterval":
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)

@@ -1,19 +1,20 @@
-"""Truncated formal power series in t = 1/x, over Q or over Q[a,b].
+"""Truncated formal power series in t = 1/x over Q, and the derivation.
 
 This module replaces the computer-algebra step of the derivation with an
 in-repo exact series calculus:
 
-* ``expand_relative_error`` re-derives the expansion of the logarithmic
-  error  w(x) = x ln(1+1/x) - 1 - ln((x+a)/(x+b))  with symbolic a, b,
+* ``expand_relative_error`` gives the expansion of the logarithmic error
+  w(x) = x ln(1+1/x) - 1 - ln((x+a)/(x+b))  with symbolic a, b, one
+  closed-form coefficient in Q[a,b] per power of t,
 * ``solve_optimal_params`` kills the two leading coefficients and returns
   the unique admissible parameters (5/12, 11/12),
 * ``expand_bound_gap`` expands  (1/e)(1+1/x)^x - bound(x)  for a candidate
   rational bound, which is how the inverse-power correction terms of the
   certified bounds are obtained (and audited).
 
-A series of order T stores exactly T+1 coefficients; arithmetic never
-reads beyond the stored order.  The parameter ring Q[a,b] is a sparse map
-from exponent pairs to rationals (``ParamPoly``).
+A series of order T stores exactly T+1 rational coefficients; arithmetic
+never reads beyond the stored order.  An element of Q[a,b] is a read-only
+sparse map from exponent pairs to rationals (``ParamPoly``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebra import Poly, RatFunc, Scalar, rat_str
 
@@ -37,19 +38,15 @@ class DegenerateSystem(ArithmeticError):
 
 
 class ParamPoly:
-    """Element of Q[a,b]: sparse sum of c_ij * a^i * b^j, no stored zeros."""
+    """Element of Q[a,b], read only: sparse sum of c_ij * a^i * b^j, no
+    stored zeros."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Union[dict, Iterable[tuple[int, int, Scalar]]] = ()):
-        if isinstance(terms, dict):
-            items = [(i, j, Fraction(c)) for (i, j), c in terms.items()]
-        else:
-            items = [(i, j, Fraction(c)) for (i, j, c) in terms]
+    def __init__(self, terms: Iterable[tuple[int, int, Scalar]] = ()):
         merged: dict[tuple[int, int], Fraction] = {}
-        for i, j, c in items:
-            key = (i, j)
-            merged[key] = merged.get(key, Fraction(0)) + c
+        for i, j, c in terms:
+            merged[i, j] = merged.get((i, j), Fraction(0)) + Fraction(c)
         object.__setattr__(
             self,
             "terms",
@@ -59,80 +56,13 @@ class ParamPoly:
     def __setattr__(self, *_):
         raise AttributeError("ParamPoly is immutable")
 
-    @classmethod
-    def const(cls, c: Scalar) -> "ParamPoly":
-        return cls([(0, 0, c)])
-
-    @classmethod
-    def var_a(cls) -> "ParamPoly":
-        return cls([(1, 0, 1)])
-
-    @classmethod
-    def var_b(cls) -> "ParamPoly":
-        return cls([(0, 1, 1)])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ParamPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == ParamPoly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.terms)
-
-    def __add__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ParamPoly(list(self._triples()) + list(other._triples()))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ParamPoly":
-        return ParamPoly([(i, j, -c) for (i, j), c in self.terms])
-
-    def __sub__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "ParamPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = []
-        for (i1, j1), c1 in self.terms:
-            for (i2, j2), c2 in other.terms:
-                out.append((i1 + i2, j1 + j2, c1 * c2))
-        return ParamPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "ParamPoly":
-        result = ParamPoly.const(1)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, ParamPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls.const(other)
-        return NotImplemented
-
-    def _triples(self):
-        return ((i, j, c) for (i, j), c in self.terms)
 
     def subs(self, a: Scalar, b: Scalar) -> Fraction:
         """Evaluate at concrete rational parameter values."""
@@ -150,7 +80,7 @@ class ParamPoly:
         return [(i, j, rat_str(c)) for (i, j), c in self.terms]
 
     def __repr__(self) -> str:
-        if self.is_zero:
+        if not self.terms:
             return "ParamPoly(0)"
         bits = []
         for (i, j), c in self.terms:
@@ -159,19 +89,12 @@ class ParamPoly:
         return "ParamPoly(" + " + ".join(bits) + ")"
 
 
-Coeff = Union[Fraction, ParamPoly]
-
-
-def _is_zero_coeff(c: Coeff) -> bool:
-    return c.is_zero if isinstance(c, ParamPoly) else c == 0
-
-
 class Series:
-    """Power series in t truncated at a fixed order (inclusive)."""
+    """Power series in t over Q, truncated at a fixed order (inclusive)."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Sequence[Coeff]):
+    def __init__(self, coeffs: Sequence[Fraction]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("series order must be >= 0")
@@ -181,7 +104,7 @@ class Series:
     def __setattr__(self, *_):
         raise AttributeError("Series is immutable")
 
-    def __getitem__(self, k: int) -> Coeff:
+    def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
 
     def __eq__(self, other) -> bool:
@@ -207,29 +130,14 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         T = min(self.order, other.order)
-        out = [self.coeffs[0] * 0 for _ in range(T + 1)]
+        out = [Fraction(0)] * (T + 1)
         for i in range(T + 1):
             ci = self.coeffs[i]
-            if _is_zero_coeff(ci):
+            if ci == 0:
                 continue
             for j in range(T + 1 - i):
-                out[i + j] = out[i + j] + ci * other.coeffs[j]
+                out[i + j] += ci * other.coeffs[j]
         return Series(out)
-
-    def scale_arg(self, c: Coeff) -> "Series":
-        """Substitute t -> c*t: coefficient k picks up a factor c^k."""
-        out = []
-        power: Coeff = 1
-        for k, v in enumerate(self.coeffs):
-            out.append(v * power if k else v)
-            power = power * c
-        return Series(out)
-
-    def map(self, fn) -> "Series":
-        return Series([fn(c) for c in self.coeffs])
-
-    def to_strings(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -256,20 +164,19 @@ def series_exp_compose(s: Series, order: int) -> Series:
     brute-force sum of powers s^j / j! is kept in the tests as the
     independent oracle.
     """
-    if not _is_zero_coeff(s.coeffs[0]):
+    if s.coeffs[0] != 0:
         raise NonzeroConstantTerm("exp composition needs constant term 0")
     if order > s.order:
         raise ValueError("requested order exceeds the input series order")
     src = s.coeffs
-    out: list[Coeff] = [Fraction(1)]
+    out = [Fraction(1)]
     for n in range(1, order + 1):
-        acc: Coeff = Fraction(0)
+        acc = Fraction(0)
         for k in range(1, n + 1):
             sk = src[k]
-            if _is_zero_coeff(sk):
-                continue
-            acc = acc + (sk * k) * out[n - k]
-        out.append(acc * Fraction(1, n))
+            if sk:
+                acc += (sk * k) * out[n - k]
+        out.append(acc / n)
     return Series(out)
 
 
@@ -319,13 +226,6 @@ class Variant(enum.Enum):
 
     AS_WRITTEN = "as-written"
     DEDUP = "dedup"
-
-    @classmethod
-    def parse(cls, text: str) -> "Variant":
-        for v in cls:
-            if v.value == text:
-                return v
-        raise ValueError(f"unknown variant {text!r}")
 
 
 @dataclass(frozen=True)
@@ -380,11 +280,10 @@ class BoundSpec:
         return self.corrections[-1][1] if self.corrections else 0
 
     def as_ratfunc(self) -> RatFunc:
-        """The bound as one exact rational function of x."""
-        r = RatFunc(Poly((self.a, 1)), Poly((self.b, 1)))
-        for c, k in self.corrections:
-            r = r + RatFunc(Poly.constant(c), Poly.x() ** k)
-        return r
+        """The bound as one exact rational function of x: P/Q in lowest
+        terms."""
+        return RatFunc(Poly(p for p, _ in reversed(self._horner)),
+                       Poly(q for _, q in reversed(self._horner)))
 
     def eval(self, x: Scalar) -> Fraction:
         """The exact value at x, by Horner's rule on P and Q homogenized
@@ -480,19 +379,20 @@ def log_gap_series(bound: BoundSpec, order: int) -> Series:
     return xlog1p_minus_one_series(order) - series_log(bound.series(order))
 
 
-def expand_relative_error(order: int) -> Series:
-    """Expansion of x ln(1+1/x) - 1 - ln((x+a)/(x+b)) over Q[a,b].
+def expand_relative_error(order: int) -> tuple[ParamPoly, ...]:
+    """Coefficients of t^0..t^order of x ln(1+1/x) - 1 - ln((x+a)/(x+b))
+    over Q[a,b].
 
-    ln((x+a)/(x+b)) is expanded as ln(1+at) - ln(1+bt), reusing the
-    rational log series under the substitutions t -> at and t -> bt.
+    With ln((x+a)/(x+b)) = ln(1+at) - ln(1+bt), the t^k coefficient is
+    (-1)^k [1/(k+1) + (a^k - b^k)/k]: the rational coefficient of
+    x ln(1+1/x) - 1 minus that of ln(1+t) times (a^k - b^k).
     """
     if order < 3:
         raise ValueError("order must be >= 3")
-    base = xlog1p_minus_one_series(order).map(ParamPoly.const)
-    log_pattern = series_log1p(order)
-    log_a = log_pattern.map(ParamPoly.const).scale_arg(ParamPoly.var_a())
-    log_b = log_pattern.map(ParamPoly.const).scale_arg(ParamPoly.var_b())
-    return base - (log_a - log_b)
+    base, log1p = xlog1p_minus_one_series(order), series_log1p(order)
+    return (ParamPoly(),) + tuple(
+        ParamPoly([(0, 0, base[k]), (k, 0, -log1p[k]), (0, k, log1p[k])])
+        for k in range(1, order + 1))
 
 
 class OptimalParams(NamedTuple):

@@ -1,10 +1,11 @@
 """Command line behaviour: dispatch, exit codes, formats, determinism."""
 
 import io
+import time
 
 import pytest
 
-from eulerbounds import enclosure
+from eulerbounds import carleman, enclosure
 from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
                              dec_ceil, dec_floor, dec_trunc, main,
@@ -298,10 +299,56 @@ class TestUsageErrors:
         ("keller", "--exact", "--format", "json"),
         ("carleman", "--mode", "chain", "--format", "csv"),
         ("carleman", "--mode", "polya", "--format", "csv"),
+        ("keller", "--width="),
+        ("carleman", "--seq="),
     ])
     def test_exit_64(self, argv, capsys):
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("keller", "--symbolic", "--n", "5", "--width", "1e-3"), "--n"),
+        (("keller", "--symbolic", "--width", "1e-3"), "--width"),
+        (("carleman", "--mode", "chain", "--N", "3", "--seq", "geometric:1/3",
+          "--scheme", "polya"), "--seq"),
+        (("carleman", "--mode", "chain", "--N", "3", "--scheme", "polya"), "--scheme"),
+        (("carleman", "--mode", "polya", "--N", "3", "--variant", "as-written"),
+         "--variant"),
+        (("check", "--target", "classic", "--n", "1", "--variant", "as-written"),
+         "--variant"),
+        (("expand", "--variant", "dedup"), "--variant"),
+    ])
+    def test_unread_flag_is_refused(self, argv, flag, capsys):
+        assert run(*argv) == (EXIT_USAGE, "")
+        assert f"does not read {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("carleman", "--mode", "polya", "--N", "2000"), "--N"),
+        (("carleman", "--mode", "polya", "--N", "1001"), "--N"),
+        (("carleman", "--mode", "polya", "--N", str(10**20)), "--N"),
+        (("check", "--digits", "5000"), "--digits"),
+        (("keller", "--digits", "5000"), "--digits"),
+        (("optimize", "--digits", "4001"), "--digits"),
+    ])
+    def test_oversize_output_is_refused_before_any_work(self, argv, flag, capsys):
+        start = time.perf_counter()
+        assert run(*argv) == (EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert flag in capsys.readouterr().err
+
+    def test_largest_printable_sizes_still_print(self):
+        # 1000 * len("1001") = 4000: (1001)^1000 has 3001 digits
+        code, out = run("carleman", "--mode", "polya", "--N", "1000")
+        assert code == EXIT_OK and len(out.splitlines()) == 3
+        code, out = run("optimize", "--digits", "4000")
+        assert code == EXIT_OK and len(out) > 4000
+
+    def test_a_failing_handler_writes_nothing(self, monkeypatch):
+        # the polya report writes two lines before it needs the weight
+        def fail(n):
+            raise ArithmeticError("weight refused")
+        monkeypatch.setattr(carleman, "telescoping_weight", fail)
+        assert run("carleman", "--mode", "polya", "--N", "3") == (EXIT_FAIL, "")
 
 
 class TestEnclosureFailures:

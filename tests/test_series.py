@@ -3,10 +3,12 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerbounds import series
+from eulerbounds.algebra import Poly, RatFunc
 from eulerbounds.series import (BoundSpec, DegenerateSystem,
                                 NonzeroConstantTerm, ParamPoly,
                                 Series, Variant, bare_optimal_bound,
@@ -15,9 +17,6 @@ from eulerbounds.series import (BoundSpec, DegenerateSystem,
                                 lower_bound, series_exp_compose, series_log,
                                 series_log1p, solve_optimal_params,
                                 upper_bound, xlog1p_minus_one_series)
-
-A, B = ParamPoly.var_a(), ParamPoly.var_b()
-C = ParamPoly.const
 
 
 def brute_force_exp(s: Series, order: int) -> Series:
@@ -83,9 +82,24 @@ class TestElementarySeries:
 class TestRelativeErrorExpansion:
     def test_first_three_coefficients(self):
         w = expand_relative_error(3)
-        assert w[1] == -A + B - C(F(1, 2))
-        assert w[2] == A * A * F(1, 2) - B * B * F(1, 2) + C(F(1, 3))
-        assert w[3] == B**3 * F(1, 3) - A**3 * F(1, 3) - C(F(1, 4))
+        assert w[0] == ParamPoly()
+        assert w[1] == ParamPoly([(1, 0, -1), (0, 1, 1), (0, 0, F(-1, 2))])
+        assert w[2] == ParamPoly([(2, 0, F(1, 2)), (0, 2, F(-1, 2)), (0, 0, F(1, 3))])
+        assert w[3] == ParamPoly([(0, 3, F(1, 3)), (3, 0, F(-1, 3)), (0, 0, F(-1, 4))])
+
+    def test_closed_form_matches_sympy(self):
+        # independent oracle: the same error, x ln(1+1/x) - 1 - ln((x+a)/(x+b))
+        # at x = 1/t, expanded by sympy
+        a, b, t = sp.symbols("a b t")
+        error = sp.log(1 + t) / t - 1 - sp.log(1 + a * t) + sp.log(1 + b * t)
+        expansion = sp.series(error, t, 0, 11).removeO()
+        w = expand_relative_error(10)
+        assert len(w) == 11
+        for k in range(11):
+            coeff = sp.Poly(expansion.coeff(t, k), a, b)
+            expected = ParamPoly([(i, j, F(int(c.p), int(c.q)))
+                                  for (i, j), c in coeff.terms()])
+            assert w[k] == expected, k
 
     def test_vanishing_at_the_optimum(self):
         w = expand_relative_error(3)
@@ -110,15 +124,25 @@ class TestOptimalParams:
         assert (got.a, got.b) == (F(5, 12), F(11, 12))
         assert got.residual_third_coefficient == F(-5, 288)
 
-    @pytest.mark.parametrize("c2", [A * A - C(F(1, 4)), C(1)],
+    @pytest.mark.parametrize("c2", [[(2, 0, 1), (0, 0, F(-1, 4))], [(0, 0, 1)]],
                              ids=["quadratic", "constant"])
     def test_reduced_degree_other_than_one_is_degenerate(self, monkeypatch, c2):
         # c1 = a - b + 1/2 eliminates to b = a + 1/2, as in the real system;
         # c2 then reduces to a^2 - 1/4 (root 1/2 > 0) or to a constant
-        system = Series([C(0), A - B + C(F(1, 2)), c2, C(0)])
+        system = (ParamPoly(), ParamPoly([(1, 0, 1), (0, 1, -1), (0, 0, F(1, 2))]),
+                  ParamPoly(c2), ParamPoly())
         monkeypatch.setattr(series, "expand_relative_error", lambda order: system)
         with pytest.raises(DegenerateSystem):
             solve_optimal_params()
+
+
+def ratfunc_sum(bound: BoundSpec) -> RatFunc:
+    """Independent oracle for ``BoundSpec.as_ratfunc``: the defining sum
+    (x+a)/(x+b) + sum c_k / x^k, added up term by term in Q(x)."""
+    r = RatFunc(Poly((bound.a, 1)), Poly((bound.b, 1)))
+    for c, k in bound.corrections:
+        r = r + RatFunc(Poly.constant(c), Poly.x() ** k)
+    return r
 
 
 def defining_sum(bound: BoundSpec, x: F) -> F:
@@ -132,6 +156,14 @@ def defining_sum(bound: BoundSpec, x: F) -> F:
 # rational x = p/q >= 1/2 with q <= 50
 EVAL_POINTS = st.builds(F, st.integers(min_value=1, max_value=10**7),
                         st.integers(min_value=1, max_value=50)).filter(lambda x: x >= F(1, 2))
+
+ANY_BOUND = st.builds(
+    BoundSpec,
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
+                       st.integers(min_value=1, max_value=9)),
+             max_size=5))
 
 
 class TestBoundSpec:
@@ -148,8 +180,14 @@ class TestBoundSpec:
     def test_eval_matches_ratfunc(self):
         for bound in (bare_optimal_bound(), lower_bound(),
                       upper_bound(Variant.AS_WRITTEN)):
+            assert bound.as_ratfunc() == ratfunc_sum(bound)
             for x in (F(1), F(3, 2), F(10)):
                 assert bound.eval(x) == bound.as_ratfunc().eval(x)
+
+    @given(ANY_BOUND)
+    @settings(max_examples=100, deadline=None)
+    def test_ratfunc_matches_the_sum_of_terms(self, bound):
+        assert bound.as_ratfunc() == ratfunc_sum(bound)
 
     @given(EVAL_POINTS)
     @settings(max_examples=60, deadline=None)
@@ -158,15 +196,9 @@ class TestBoundSpec:
                       upper_bound(Variant.AS_WRITTEN)):
             assert bound.eval(x) == defining_sum(bound, x)
 
-    @given(st.fractions(min_value=-3, max_value=3, max_denominator=12),
-           st.fractions(min_value=-3, max_value=3, max_denominator=12),
-           st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=10**6),
-                              st.integers(min_value=1, max_value=9)),
-                    max_size=5),
-           EVAL_POINTS)
+    @given(ANY_BOUND, EVAL_POINTS)
     @settings(max_examples=200, deadline=None)
-    def test_eval_matches_the_defining_sum_for_any_bound(self, a, b, corrections, x):
-        bound = BoundSpec(a, b, corrections)
+    def test_eval_matches_the_defining_sum_for_any_bound(self, bound, x):
         try:
             expected = defining_sum(bound, x)
         except ZeroDivisionError:  # x = -b
@@ -242,16 +274,9 @@ class TestBoundGap:
 
 class TestParamPoly:
     def test_serialization_sorted(self):
-        p = B * 2 - A + C(F(1, 3))
+        p = ParamPoly([(0, 1, 2), (1, 0, -1), (0, 0, F(1, 3))])
         assert p.to_triples() == [(0, 0, "1/3"), (0, 1, "2/1"), (1, 0, "-1/1")]
 
     def test_zero_terms_dropped(self):
-        assert (A - A).is_zero
-        assert A - A == C(0)
-
-    @given(st.fractions(max_denominator=6), st.fractions(max_denominator=6))
-    @settings(max_examples=40, deadline=None)
-    def test_subs_is_homomorphic(self, a, b):
-        p, q = A * B - C(2), A + B * B
-        assert (p * q).subs(a, b) == p.subs(a, b) * q.subs(a, b)
-        assert (p + q).subs(a, b) == p.subs(a, b) + q.subs(a, b)
+        assert ParamPoly([(1, 0, 1), (1, 0, -1)]).terms == ()
+        assert ParamPoly([(1, 0, 1), (1, 0, -1)]) == ParamPoly([(0, 0, 0)])
