@@ -16,11 +16,11 @@ from .carleman import (ChainReport, TestSequence, WeightScheme, carleman_sums,
 from .enclosure import (DEFAULT_WIDTH, CheckResult, DomainError, RatInterval,
                         RefinementExhausted, SoundnessError, check_classic_at,
                         check_certified_at, euler_number_interval,
-                        integer_nth_root, ln1p_to_width,
+                        integer_nth_root, ln1p_to_width, normalized_below,
                         normalized_euler_interval, nth_root_interval)
 from .keller import (ConvergenceRow, DegreeMismatch, KellerTerm,
                      convergence_table, display_forms, keller_term,
-                     sandwich_bounds, sandwich_limits, sandwich_ratfuncs)
+                     sandwich_bounds, sandwich_limits)
 from .prover import (DenominatorSignUnknown, PolynomialMatch, ProofReport,
                      Refutation, SignCertificate, log_gap_second_derivative,
                      match_reference_polynomials, poly_sign_certificate,

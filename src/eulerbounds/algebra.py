@@ -260,11 +260,7 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Union[Poly, Scalar], den: Union[Poly, Scalar] = 1):
-        if not isinstance(num, Poly):
-            num = Poly.constant(num)
-        if not isinstance(den, Poly):
-            den = Poly.constant(den)
+    def __init__(self, num: Poly, den: Poly = Poly.one()):
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         g = poly_gcd(num, den)
@@ -288,9 +284,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
@@ -302,44 +295,22 @@ class RatFunc:
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
-    # -- field operations ---------------------------------------------
+    # -- field operations (between rational functions) -----------------
 
-    @staticmethod
-    def _coerce(value) -> "RatFunc":
-        if isinstance(value, RatFunc):
-            return value
-        if isinstance(value, Poly):
-            return RatFunc(value)
-        if isinstance(value, (int, Fraction)):
-            return RatFunc.constant(value)
-        return NotImplemented
-
-    def __add__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
-    def __mul__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    def __truediv__(self, other) -> "RatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
@@ -357,10 +328,6 @@ class RatFunc:
             raise PoleError(f"pole at {x}")
         return self.num.eval(x) / d
 
-    def shift(self, c: Scalar) -> "RatFunc":
-        """Argument shift: returns r with r(t) = self(t + c)."""
-        return RatFunc(self.num.shift(c), self.den.shift(c))
-
     # -- integer normal form -------------------------------------------
 
     def primitive_parts(self) -> tuple[Fraction, Poly, Poly]:
@@ -372,14 +339,3 @@ class RatFunc:
         cn, pn = self.num.content_and_primitive()
         cd, pd = self.den.content_and_primitive()
         return cn / cd, pn, pd
-
-    def clear_against(self, denominator: Poly) -> Poly:
-        """Return self * denominator, which must be a polynomial.
-
-        Used to rewrite a canonical-form quotient over a stated display
-        denominator and read off the numerator coefficients."""
-        prod = self * denominator
-        if not prod.is_polynomial():
-            raise ValueError("denominator does not clear this rational function")
-        return prod.num  # canonical form has monic (= 1) constant denominator
-

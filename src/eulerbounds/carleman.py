@@ -13,13 +13,14 @@ classical constant-e inequality follows from (1+1/n)^n < e.
 
 The certified upper bounds sharpen this: (1/e)(1+1/n)^n < v(n) gives the
 weight family e*(12n+5)/(12n+11) (from the bare rational bound) and the
-refined family e*((12n+5)/(12n+11) - eps_n).  Every weight comparison
-made here is either an exact rational comparison or a rigorous enclosure
-check; infinite sums are only ever reported as labeled finite-N
-truncations.  The Polya sum is bracketed by the floor and ceiling of
-each term over one power of ten, and each power-law mean is a root of
-the running product bracketed over the power of ten set by the requested
-width, so neither sum grows its endpoints with the number of terms.
+refined family e*((12n+5)/(12n+11) - eps_n).  The weight chain compares
+unreduced integer bound values with each other and, through
+``enclosure.normalized_below``, with the sequence.  Infinite sums are
+only ever reported as labeled finite-N truncations.  The Polya sum is
+bracketed by the floor and ceiling of each term over one power of ten,
+and each power-law mean is a root of the running product bracketed over
+the power of ten set by the requested width, so neither sum grows its
+endpoints with the number of terms.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .enclosure import (_GUARD_BITS, DEFAULT_WIDTH, RatInterval, _normalized_fixed,
-                        euler_number_interval, nth_root_interval)
+from .enclosure import (DEFAULT_WIDTH, RatInterval, euler_number_interval,
+                        normalized_below, nth_root_interval)
 from .series import Variant, bare_optimal_bound, upper_bound
 
 
@@ -149,10 +150,10 @@ class TestSequence:
 
 
 def telescoping_weight(n: int) -> Fraction:
-    """c_n = (n+1)^n / n^(n-1)."""
+    """c_n = (n+1)^n / n^(n-1), reduced by gcds with n alone."""
     if n < 1:
         raise ValueError("weights are indexed from 1")
-    return Fraction((n + 1) ** n, n ** (n - 1))
+    return Fraction(n + 1, n) ** n * n
 
 
 def polya_identities(n: int) -> tuple[Fraction, Fraction]:
@@ -230,38 +231,12 @@ class ChainReport:
         return all(idx is None for _, idx in self.first_failures)
 
 
-# Bits added to a straddling bracket: 34 bits is about ten decimal digits.
-_REFINE_BITS = 34
-
-
-def _strictly_below(n: int, value: Fraction, prec: int,
-                    bracket: tuple[int, int]) -> bool:
-    """Decide (1/e)(1+1/n)^n < value from lo <= 2^prec (1/e)(1+1/n)^n <= hi.
-
-    Both tests cross-multiply by value's denominator, so they stay in
-    integers.  A straddle brackets again with more bits; the compared
-    quantities are never equal (one side is irrational), so this
-    terminates.
-    """
-    lo, hi = bracket
-    num, den = value.numerator, value.denominator
-    for _ in range(8):
-        if hi * den < num << prec:
-            return True
-        if lo * den >= num << prec:
-            return False
-        prec += _REFINE_BITS
-        lo, hi = _normalized_fixed(n, 1, prec)
-    raise ArithmeticError(f"could not separate enclosure from {value} at n={n}")
-
-
 def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainReport:
     """Verify the weight chain for every n <= N.
 
-    One fixed-point bracket per index decides both enclosure links in the
-    common case: its 2^-prec resolution sits below 1/(64 n^7), the scale
-    of the refined gap, and more bits come only if a comparison
-    straddles.
+    Every test runs on the bounds' unreduced values (num, den), den > 0, so
+    no index pays a gcd: one ``normalized_below`` bracket decides both
+    enclosure links, and "simple < 1" and eps_n <= 0 cross-multiply.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -272,18 +247,16 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
     upper = upper_bound(variant)
     bare = bare_optimal_bound()
     for n in range(1, N + 1):
-        refined = upper.eval(n)
-        simple = bare.eval(n)
-        # the bracket spans under 2^(_GUARD_BITS - prec) <= 1/(64 n^7)
-        prec = 7 * n.bit_length() + 6 + _GUARD_BITS
-        bracket = _normalized_fixed(n, 1, prec)
-        if fail_refined is None and not _strictly_below(n, refined, prec, bracket):
+        r_num, r_den = refined = upper.eval_pair(n)
+        s_num, s_den = simple = bare.eval_pair(n)
+        below_refined, below_simple = normalized_below(n, refined, simple)
+        if fail_refined is None and not below_refined:
             fail_refined = n
-        if fail_simple is None and not _strictly_below(n, simple, prec, bracket):
+        if fail_simple is None and not below_simple:
             fail_simple = n
-        if fail_one is None and not simple < 1:
+        if fail_one is None and not s_num < s_den:
             fail_one = n
-        if simple <= refined:  # eps_n <= 0
+        if s_num * r_den <= r_num * s_den:  # eps_n <= 0
             non_improving.append(n)
     return ChainReport(N, variant,
                        (("value_vs_refined", fail_refined),

@@ -43,6 +43,8 @@ EXIT_USAGE = 64
 # CPython refuses to print an integer of more than 4300 digits; a request
 # whose output could reach that size is refused before any work.
 MAX_PRINTED_DIGITS = 4000
+# --digits defaults to None, so that modes printing no decimals can refuse it
+DEFAULT_DIGITS = 12
 
 
 class UsageError(Exception):
@@ -134,15 +136,16 @@ _SCHEMES = {
     "refined": carl.WeightScheme.refined,
 }
 
-_BOUNDS = {
-    "bare": lambda variant: bare_optimal_bound(),
-    "u": lambda variant: lower_bound(),
-    "v": upper_bound,
-}
-
-
 def _variant(args) -> Variant:
     return Variant(args.variant or Variant.DEDUP.value)
+
+
+def _bound(args):
+    """The --bound named; only the upper bound v reads --variant."""
+    if args.bound == "v":
+        return upper_bound(_variant(args))
+    _refuse_unread(args, f"--bound {args.bound}", "variant")
+    return lower_bound() if args.bound == "u" else bare_optimal_bound()
 
 
 def _refuse_unread(args, mode: str, *flags: str) -> None:
@@ -170,7 +173,7 @@ def cmd_expand(args, out) -> int:
             body = " + ".join(f"{c}*a^{i}*b^{j}" for i, j, c in triples) or "0"
             out.write(f"t^{k}: {body}\n")
         return EXIT_OK
-    bound = _BOUNDS[args.bound](_variant(args))
+    bound = _bound(args)
     order = max(args.order, bound.max_power())
     gap = expand_bound_gap(bound, order)
     out.write(f"gap series (1/e)(1+1/x)^x - bound, bound = {bound.describe()}\n")
@@ -183,13 +186,14 @@ def cmd_optimize(args, out) -> int:
     got = solve_optimal_params()
     out.write(f"a = {rat_str(got.a)}\n")
     out.write(f"b = {rat_str(got.b)}\n")
-    out.write(f"residual t^3 coefficient = {rat_str(got.residual_third_coefficient)} "
-              f"({dec_trunc(got.residual_third_coefficient, args.digits)})\n")
+    residual = got.residual_third_coefficient
+    out.write(f"residual t^3 coefficient = {rat_str(residual)} "
+              f"({dec_trunc(residual, args.digits or DEFAULT_DIGITS)})\n")
     return EXIT_OK
 
 
 def cmd_prove(args, out) -> int:
-    bound = _BOUNDS[args.bound](_variant(args))
+    bound = _bound(args)
     side = args.side or {"bare": "upper", "u": "lower", "v": "upper"}[args.bound]
     report = prove_bound(bound, side)
     matches = (match_reference_polynomials(report)
@@ -233,7 +237,9 @@ def cmd_check(args, out) -> int:
         raise UsageError("indices must be >= 1")
     if args.target == "classic":
         _refuse_unread(args, "--target classic", "variant")
-    variant = _variant(args)
+    if args.format == "json":
+        _refuse_unread(args, "--format json", "digits")
+    variant, digits = _variant(args), args.digits or DEFAULT_DIGITS
     worst = EXIT_OK
     results = []
     for n in ns:
@@ -260,7 +266,7 @@ def cmd_check(args, out) -> int:
         if res.side:
             line += f"({res.side})"
         line += (f"  bounds [{rat_str(res.lower_value)}, {rat_str(res.upper_value)}]"
-                 f"  enclosure {fmt_interval(res.enclosure, args.digits)}")
+                 f"  enclosure {fmt_interval(res.enclosure, digits)}")
         out.write(line + "\n")
     return worst
 
@@ -273,12 +279,14 @@ def cmd_keller(args, out) -> int:
         raise UsageError("--symbolic writes text only")
     if args.exact and args.format != "csv":
         raise UsageError("--exact needs --format csv")
-    variant = _variant(args)
+    if args.exact or args.format == "json":
+        _refuse_unread(args, "--exact" if args.exact else "--format json", "digits")
+    variant, digits = _variant(args), args.digits or DEFAULT_DIGITS
     if args.symbolic:
         _refuse_unread(args, "--symbolic", "n", "width")
         limit, rate = kel.sandwich_limits(variant)
         out.write(f"sandwich limit = {rat_str(limit)}, "
-                  f"n^2 rate = {rat_str(rate)} ({dec_trunc(rate, args.digits)})\n")
+                  f"n^2 rate = {rat_str(rate)} ({dec_trunc(rate, digits)})\n")
         out.write("display numerators over "
                   f"{kel.DISPLAY_DENOMINATOR_CONSTANT} n^a (n-1)^b (12n-1)(12n+11):\n")
         for form in kel.display_forms(variant):
@@ -307,11 +315,11 @@ def cmd_keller(args, out) -> int:
                                  rat_str(row.sandwich_lo), rat_str(row.sandwich_hi),
                                  rat_str(target)])
             else:
-                writer.writerow([row.n, dec_floor(row.rate.lo, args.digits),
-                                 dec_ceil(row.rate.hi, args.digits),
-                                 dec_floor(row.sandwich_lo, args.digits),
-                                 dec_ceil(row.sandwich_hi, args.digits),
-                                 dec_trunc(target, args.digits)])
+                writer.writerow([row.n, dec_floor(row.rate.lo, digits),
+                                 dec_ceil(row.rate.hi, digits),
+                                 dec_floor(row.sandwich_lo, digits),
+                                 dec_ceil(row.sandwich_hi, digits),
+                                 dec_trunc(target, digits)])
         return code
     if args.format == "json":
         payload = [{"n": row.n,
@@ -324,11 +332,11 @@ def cmd_keller(args, out) -> int:
         out.write("\n")
         return code
     out.write(f"n^2 (x_n - 1) with the exact sandwich; target 1/24 "
-              f"= {dec_trunc(target, args.digits)}\n")
+              f"= {dec_trunc(target, digits)}\n")
     for row in rows:
-        out.write(f"n={row.n}: enclosure {fmt_interval(row.rate, args.digits)} "
-                  f"sandwich [{dec_floor(row.sandwich_lo, args.digits)}, "
-                  f"{dec_ceil(row.sandwich_hi, args.digits)}] "
+        out.write(f"n={row.n}: enclosure {fmt_interval(row.rate, digits)} "
+                  f"sandwich [{dec_floor(row.sandwich_lo, digits)}, "
+                  f"{dec_ceil(row.sandwich_hi, digits)}] "
                   f"contained={_CONTAINED_TEXT[row.outcome]}\n")
     return code
 
@@ -337,7 +345,7 @@ def cmd_carleman(args, out) -> int:
     if args.mode != "sums" and args.format != "text":
         raise UsageError(f"--mode {args.mode} writes text only")
     if args.mode == "polya":
-        _refuse_unread(args, "--mode polya", "variant", "seq", "scheme")
+        _refuse_unread(args, "--mode polya", "variant", "seq", "scheme", "digits")
         n = args.N
         if n * len(str(n + 1)) > MAX_PRINTED_DIGITS:
             raise UsageError(f"--N {n} would print (N+1)^N with more than "
@@ -350,7 +358,7 @@ def cmd_carleman(args, out) -> int:
         return EXIT_OK
     variant = _variant(args)
     if args.mode == "chain":
-        _refuse_unread(args, "--mode chain", "seq", "scheme")
+        _refuse_unread(args, "--mode chain", "seq", "scheme", "digits")
         report = carl.termwise_weight_chain(args.N, variant)
         for name, idx in report.first_failures:
             out.write(f"link {name}: "
@@ -364,7 +372,10 @@ def cmd_carleman(args, out) -> int:
     if seq.values is not None and args.N > len(seq.values):
         raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} terms "
                          "of the custom sequence")
+    if args.scheme in ("polya", "simple"):
+        _refuse_unread(args, f"--scheme {args.scheme}", "variant")
     scheme = _SCHEMES[args.scheme or "refined"](variant)
+    digits = args.digits or DEFAULT_DIGITS
     if args.format == "csv":
         # the rows' enclosures summed in order are geometric_mean_sum's lhs
         per_term = DEFAULT_WIDTH / args.N
@@ -378,19 +389,19 @@ def cmd_carleman(args, out) -> int:
             w = carl.weight(scheme, n)
             w_lo, w_hi = (w, w) if isinstance(w, Fraction) else (w.lo, w.hi)
             writer.writerow([n, rat_str(seq.term(n)),
-                             dec_floor(term.lo, args.digits),
-                             dec_ceil(term.hi, args.digits),
-                             dec_floor(w_lo, args.digits),
-                             dec_ceil(w_hi, args.digits)])
-        writer.writerow(["total", "", dec_floor(lhs.lo, args.digits),
-                         dec_ceil(lhs.hi, args.digits),
-                         dec_floor(rhs.lo, args.digits),
-                         dec_ceil(rhs.hi, args.digits)])
+                             dec_floor(term.lo, digits),
+                             dec_ceil(term.hi, digits),
+                             dec_floor(w_lo, digits),
+                             dec_ceil(w_hi, digits)])
+        writer.writerow(["total", "", dec_floor(lhs.lo, digits),
+                         dec_ceil(lhs.hi, digits),
+                         dec_floor(rhs.lo, digits),
+                         dec_ceil(rhs.hi, digits)])
         return EXIT_OK if lhs.hi <= rhs.lo else EXIT_FAIL
     lhs, rhs = carl.carleman_sums(seq, scheme, args.N)
     out.write(f"sequence {seq.describe()}, scheme {scheme.describe()}, N={args.N}\n")
-    out.write(f"lhs  = {fmt_interval(lhs, args.digits)}\n")
-    out.write(f"rhs  = {fmt_interval(rhs, args.digits)}\n")
+    out.write(f"lhs  = {fmt_interval(lhs, digits)}\n")
+    out.write(f"rhs  = {fmt_interval(rhs, digits)}\n")
     ok = lhs.hi <= rhs.lo
     out.write(f"lhs <= rhs rigorously: {'yes' if ok else 'NO'}\n")
     return EXIT_OK if ok else EXIT_FAIL
@@ -419,8 +430,9 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if digits:
-            p.add_argument("--digits", type=int, default=12,
-                           help="decimal digits in rendered output")
+            p.add_argument("--digits", type=int,
+                           help=f"decimal digits in rendered output "
+                                f"(default {DEFAULT_DIGITS})")
         if variant:
             p.add_argument("--variant", choices=[v.value for v in Variant],
                            help="doubled or single 1/x^5 correction in the upper bound")
@@ -429,7 +441,7 @@ def build_parser() -> _Parser:
     p = add("expand", cmd_expand, digits=False,
             help="series expansions of the error and bound gaps")
     p.add_argument("--order", type=int, default=10)
-    p.add_argument("--bound", choices=sorted(_BOUNDS), default=None,
+    p.add_argument("--bound", choices=["bare", "u", "v"], default=None,
                    help="expand the value gap of this bound instead of the "
                         "symbolic relative error")
 
@@ -438,7 +450,7 @@ def build_parser() -> _Parser:
 
     p = add("prove", cmd_prove, digits=False,
             help="prove or refute a bound via sign certificates")
-    p.add_argument("--bound", choices=sorted(_BOUNDS), default="u")
+    p.add_argument("--bound", choices=["bare", "u", "v"], default="u")
     p.add_argument("--side", choices=["lower", "upper"], default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -478,9 +490,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             raise UsageError("--N must be >= 1")
         if getattr(args, "order", 1) < 1:
             raise UsageError("--order must be >= 1")
-        if getattr(args, "digits", 1) < 1:
+        digits = getattr(args, "digits", None)
+        if digits is not None and digits < 1:
             raise UsageError("--digits must be >= 1")
-        if getattr(args, "digits", 1) > MAX_PRINTED_DIGITS:
+        if digits is not None and digits > MAX_PRINTED_DIGITS:
             raise UsageError(f"--digits must be <= {MAX_PRINTED_DIGITS}")
         # written only once the handler returns: a failure prints nothing
         buf = io.StringIO()

@@ -23,7 +23,9 @@ in ulps (units of 2^-prec) on what the floors lost:
 Endpoints are therefore exact dyadic rationals whose size follows the
 request (361 bits for the normalized value at width 1e-100).  A fixed
 stage schedule with cumulative intersection (``_refine``) makes a
-tighter request return a subinterval of a looser one.
+tighter request return a subinterval of a looser one.  The one
+comparator, ``normalized_below``, skips the intervals: it tests a kernel
+bracket against integer pairs num/den by cross-multiplication.
 
 The one exception is ``fraction_normalized_euler_interval``: exact
 Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp)
@@ -374,6 +376,35 @@ def check_certified_at(n: Scalar, variant: Variant = Variant.DEDUP,
     if n < 1:
         raise DomainError("the certified bounds require n >= 1")
     return _two_sided_check(n, lower_bound().eval(n), upper_bound(variant).eval(n), width)
+
+
+def normalized_below(n: int, *values: tuple[int, int]) -> list[bool]:
+    """Decide (1/e)(1+1/n)^n < num/den, integer n >= 1, for each (num, den), den > 0.
+
+    One bracket lo <= 2^prec (1/e)(1+1/n)^n <= hi serves every pair, from
+    prec = 7 bitlen(n) + 6 plus guard bits: it spans under 1/(64 n^7), the
+    scale of the refined bound's margin.  Cross-multiplying by den keeps
+    the tests in integers, with no gcd: hi den < num 2^prec proves "below",
+    lo den >= num 2^prec "not below".  A straddle adds 34 bits and brackets
+    again, up to 8 times per pair, then raises ArithmeticError (the sides
+    are never equal: one is irrational).
+    """
+    if n < 1:
+        raise DomainError("normalized sequence value needs n >= 1")
+    prec = 7 * n.bit_length() + 6 + _GUARD_BITS
+    lo, hi = _normalized_fixed(n, 1, prec)
+    verdicts = []
+    for num, den in values:
+        for _ in range(8):
+            if hi * den < num << prec or lo * den >= num << prec:
+                break
+            prec += 34  # about ten decimal digits
+            lo, hi = _normalized_fixed(n, 1, prec)
+        else:
+            raise ArithmeticError(
+                f"could not separate enclosure from {num}/{den} at n={n}")
+        verdicts.append(hi * den < num << prec)
+    return verdicts
 
 
 def check_classic_at(n: int, width: Fraction = DEFAULT_WIDTH) -> CheckResult:

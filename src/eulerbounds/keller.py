@@ -8,10 +8,10 @@ certified bounds give the exact rational sandwich
 both sides rational functions of n.  Their common limit 1 recovers the
 classical limit of the unnormalized difference (e), and the common limit
 of n^2 (side - 1), namely 1/24, pins the second-order rate (e/24 before
-normalization).  This module builds the sandwich symbolically, computes
-those limits from leading coefficients, and produces rigorous numeric
-convergence tables that are checked for containment in the exact
-sandwich.
+normalization).  This module builds each side as an unreduced pair of
+the bounds' integer polynomials, reads the limits off leading
+coefficients, divides out the published displays exactly, and checks
+rigorous numeric convergence tables for containment in the sandwich.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Poly, RatFunc
+from .algebra import Poly
 from .enclosure import RatInterval, normalized_euler_interval
 from .series import Variant, lower_bound, upper_bound
 
@@ -53,15 +53,14 @@ def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> KellerT
 # ---------------------------------------------------------------------------
 
 
-def sandwich_ratfuncs(variant: Variant = Variant.DEDUP) -> tuple[RatFunc, RatFunc]:
-    """The two sandwich sides as exact rational functions of n."""
-    u = lower_bound().as_ratfunc()
-    v = upper_bound(variant).as_ratfunc()
-    n_plus_1 = Poly((1, 1))
-    n_poly = Poly.x()
-    low = u * n_plus_1 - v.shift(-1) * n_poly
-    high = v * n_plus_1 - u.shift(-1) * n_poly
-    return low, high
+def _sandwich_sides(variant: Variant) -> list[tuple[Poly, Poly]]:
+    """Unreduced (N, D) of the lower and the upper side: from the bounds'
+    integer polynomials a = P_a/Q_a, b = P_b/Q_b, the side (n+1) a(n) - n b(n-1)
+    is ((n+1) P_a Q_b(n-1) - n P_b(n-1) Q_a) / (Q_a Q_b(n-1))."""
+    u, v = lower_bound().polynomials(), upper_bound(variant).polynomials()
+    n1, n = Poly((1, 1)), Poly.x()
+    return [(n1 * p_a * q_b.shift(-1) - n * p_b.shift(-1) * q_a, q_a * q_b.shift(-1))
+            for (p_a, q_a), (p_b, q_b) in ((u, v), (v, u))]
 
 
 def sandwich_bounds(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
@@ -77,11 +76,13 @@ def sandwich_bounds(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction,
     return low, high
 
 
-def _ratfunc_limit(r: RatFunc) -> Fraction:
-    if r.num.degree() != r.den.degree():
+def _leading_ratio(num: Poly, den: Poly) -> Fraction:
+    """The finite nonzero limit of num/den at infinity.  A common factor
+    changes neither the degree difference nor this ratio: no reduction."""
+    if num.degree() != den.degree():
         raise DegreeMismatch(
-            f"degree {r.num.degree()} over {r.den.degree()}: no finite nonzero limit")
-    return r.num.leading() / r.den.leading()
+            f"degree {num.degree()} over {den.degree()}: no finite nonzero limit")
+    return num.leading() / den.leading()
 
 
 def sandwich_limits(variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
@@ -91,16 +92,16 @@ def sandwich_limits(variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fractio
     returns exactly (1, 1/24), i.e. the unnormalized difference tends to e
     with second-order rate e/24.
     """
-    low, high = sandwich_ratfuncs(variant)
-    limit_low, limit_high = _ratfunc_limit(low), _ratfunc_limit(high)
-    if limit_low != limit_high:
-        raise DegreeMismatch("sandwich sides disagree on the limit")
     n2 = Poly((0, 0, 1))
-    rate_low = _ratfunc_limit((low - RatFunc.constant(limit_low)) * n2)
-    rate_high = _ratfunc_limit((high - RatFunc.constant(limit_high)) * n2)
-    if rate_low != rate_high:
+    limits, rates = [], []
+    for num, den in _sandwich_sides(variant):
+        limits.append(_leading_ratio(num, den))
+        rates.append(_leading_ratio((num - den * limits[-1]) * n2, den))
+    if limits[0] != limits[1]:
+        raise DegreeMismatch("sandwich sides disagree on the limit")
+    if rates[0] != rates[1]:
         raise DegreeMismatch("sandwich sides disagree on the rate")
-    return limit_low, rate_low
+    return limits[0], rates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -132,17 +133,21 @@ def display_forms(variant: Variant = Variant.DEDUP) -> list[DisplayForm]:
     rate expressions n^2(side - 1) over the same shape with smaller powers
     of n and n-1.
     """
-    low, high = sandwich_ratfuncs(variant)
-    one = RatFunc.constant(1)
+    (low, low_den), (high, high_den) = _sandwich_sides(variant)
     n2 = Poly((0, 0, 1))
     items = [
-        ("sandwich lower", low, _display_denominator(5, 6)),
-        ("sandwich upper", high, _display_denominator(6, 5)),
-        ("rate lower", (low - one) * n2, _display_denominator(3, 6)),
-        ("rate upper", (high - one) * n2, _display_denominator(4, 5)),
+        ("sandwich lower", low, low_den, _display_denominator(5, 6)),
+        ("sandwich upper", high, high_den, _display_denominator(6, 5)),
+        ("rate lower", (low - low_den) * n2, low_den, _display_denominator(3, 6)),
+        ("rate upper", (high - high_den) * n2, high_den, _display_denominator(4, 5)),
     ]
-    return [DisplayForm(name, expr.clear_against(den), den)
-            for name, expr, den in items]
+    forms = []
+    for name, num, den, display in items:
+        top, rem = divmod(num * display, den)
+        if rem:
+            raise ValueError("denominator does not clear this rational function")
+        forms.append(DisplayForm(name, top, display))
+    return forms
 
 
 # ---------------------------------------------------------------------------

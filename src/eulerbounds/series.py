@@ -279,16 +279,20 @@ class BoundSpec:
     def max_power(self) -> int:
         return self.corrections[-1][1] if self.corrections else 0
 
+    def polynomials(self) -> tuple[Poly, Poly]:
+        """(P, Q), bound = P/Q, integer coefficients, no factor cancelled."""
+        return (Poly(p for p, _ in reversed(self._horner)),
+                Poly(q for _, q in reversed(self._horner)))
+
     def as_ratfunc(self) -> RatFunc:
         """The bound as one exact rational function of x: P/Q in lowest
         terms."""
-        return RatFunc(Poly(p for p, _ in reversed(self._horner)),
-                       Poly(q for _, q in reversed(self._horner)))
+        return RatFunc(*self.polynomials())
 
-    def eval(self, x: Scalar) -> Fraction:
-        """The exact value at x, by Horner's rule on P and Q homogenized
-        for x = p/q: both sums scale by the same q^(K+1), so their ratio
-        is bound(x).  A pole raises ZeroDivisionError."""
+    def eval_pair(self, x: Scalar) -> tuple[int, int]:
+        """Integers (num, den), den > 0, unreduced, with num/den the value at
+        x: Horner's rule on P and Q homogenized for x = p/q (both sums scale
+        by q^(K+1)).  A pole raises ZeroDivisionError."""
         if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
         p, q = x.numerator, x.denominator
@@ -298,7 +302,13 @@ class BoundSpec:
             q_power *= q
             num = num * p + p_i * q_power
             den = den * p + q_i * q_power
-        return Fraction(num, den)
+        if den == 0:
+            raise ZeroDivisionError(f"the bound has a pole at x = {x}")
+        return (num, den) if den > 0 else (-num, -den)
+
+    def eval(self, x: Scalar) -> Fraction:
+        """The exact value at x, in lowest terms."""
+        return Fraction(*self.eval_pair(x))
 
     def series(self, order: int) -> Series:
         """Asymptotic expansion of the bound in t = 1/x.

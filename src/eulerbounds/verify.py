@@ -15,7 +15,7 @@ from .algebra import rat_str
 from .carleman import (TestSequence, WeightScheme, geometric_mean_sum,
                        polya_identities, telescoping_weight,
                        termwise_weight_chain, weighted_sum)
-from .enclosure import check_classic_at, check_certified_at
+from .enclosure import check_certified_at, normalized_below
 from .keller import (DISPLAY_DENOMINATOR_CONSTANT, convergence_table,
                      display_forms, sandwich_limits)
 from .prover import match_reference_polynomials, prove_bound
@@ -86,8 +86,9 @@ def check_variant_adjudication() -> tuple[bool, str]:
     bad = prove_bound(upper_bound(Variant.AS_WRITTEN), "upper")
     bad_check = check_certified_at(1, Variant.AS_WRITTEN, WIDTH_30)
     good = prove_bound(upper_bound(Variant.DEDUP), "upper")
-    holds = all(check_certified_at(n, Variant.DEDUP, WIDTH_30).holds
-                for n in range(1, 101))
+    lower, upper = lower_bound(), upper_bound(Variant.DEDUP)
+    holds = all(normalized_below(n, lower.eval_pair(n), upper.eval_pair(n))
+                == [False, True] for n in range(1, 101))
     ok = (not bad.proven
           and bad_check.status == "fails" and bad_check.side == "upper"
           and good.proven and holds)
@@ -98,7 +99,8 @@ def check_variant_adjudication() -> tuple[bool, str]:
 
 def check_classical_bracket() -> tuple[bool, str]:
     """2n/(2n+1) < (1/e)(1+1/n)^n < (2n+1)/(2n+2) for n = 1..1000."""
-    bad = [n for n in range(1, 1001) if not check_classic_at(n, WIDTH_30).holds]
+    bad = [n for n in range(1, 1001) if normalized_below(
+        n, (2 * n, 2 * n + 1), (2 * n + 1, 2 * n + 2)) != [False, True]]
     return not bad, f"violations in 1..1000: {bad if bad else 'none'}"
 
 
@@ -131,20 +133,30 @@ def check_limit_numerics() -> tuple[bool, str]:
         f"|midpoint(1000) - 1/24| = {sci_str(abs(final.midpoint - Fraction(1, 24)))}")
 
 
+def _equals(q: Fraction, num: int, den: int) -> bool:
+    """q == num/den, den > 0, with no gcd of num and den: as q is in lowest
+    terms, exactly when den = k q.denominator and num = k q.numerator."""
+    k, rem = divmod(den, q.denominator)
+    return not rem and k * q.numerator == num
+
+
 def check_telescoping_identities() -> tuple[bool, str]:
-    """Exact product and tail identities for the telescoping weights, n <= 1000."""
-    product = Fraction(1)
+    """Exact product and tail identities for the telescoping weights, n <= 1000:
+    c_n = (n+1)^n / n^(n-1) given the product up to n-1, and c_n x_n."""
+    previous = 1  # c_1...c_(n-1) = n^(n-1)
     for n in range(1, 1001):
-        product *= telescoping_weight(n)
+        weight = telescoping_weight(n)
+        power = (n + 1) ** n
         geo, tail = polya_identities(n)
-        if product != Fraction(n + 1) ** n:
+        if not _equals(weight, power, previous):
             return False, f"product identity broke at n={n}"
         if geo != n + 1 or tail != Fraction(1, n):
             return False, f"closed forms broke at n={n}"
         if Fraction(1, n * (n + 1)) != Fraction(1, n) - Fraction(1, n + 1):
             return False, f"telescoping step broke at n={n}"
-        if telescoping_weight(n) * tail != Fraction((n + 1) ** n, n**n):
+        if not _equals(weight * tail, power, previous * n):
             return False, f"effective weight broke at n={n}"
+        previous = power
     return True, "product, tail, and effective-weight identities exact for n=1..1000"
 
 

@@ -148,12 +148,6 @@ class TestRatFunc:
         assert RatFunc(num * scale.numerator, den * scale.denominator) == r
         assert scale < 0  # the sign lives in the scale
 
-    def test_clear_against(self):
-        r = RatFunc(P(1), P(0, 0, 1))  # 1/x^2
-        assert r.clear_against(P(0, 0, 0, 1)) == X
-        with pytest.raises(ValueError):
-            r.clear_against(P(0, 1))
-
 
 class TestSerialization:
     def test_rat_str_roundtrip(self):

@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds import carleman
-from eulerbounds.carleman import (TestSequence, WeightScheme, _strictly_below,
-                                  carleman_sums, epsilon_term, geometric_mean_sum,
+from eulerbounds import enclosure
+from eulerbounds.carleman import (TestSequence, WeightScheme, carleman_sums,
+                                  epsilon_term, geometric_mean_sum,
                                   polya_identities, telescoping_weight,
                                   termwise_weight_chain, weight, weight_over_e,
                                   weighted_sum)
-from eulerbounds.enclosure import (_GUARD_BITS, DEFAULT_WIDTH, RatInterval,
-                                   _normalized_fixed, euler_number_interval,
-                                   integer_nth_root, normalized_euler_interval)
+from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval, _normalized_fixed,
+                                   euler_number_interval, integer_nth_root,
+                                   normalized_below, normalized_euler_interval)
 from eulerbounds.series import (Variant, bare_optimal_bound, lower_bound,
                                 upper_bound)
 
@@ -109,8 +109,7 @@ class TestWeightChain:
 
 def chain_decision(n: int, value: F) -> bool:
     """The chain's test of (1/e)(1+1/n)^n < value, from its starting bracket."""
-    prec = 7 * n.bit_length() + 6 + _GUARD_BITS
-    return _strictly_below(n, value, prec, _normalized_fixed(n, 1, prec))
+    return normalized_below(n, (value.numerator, value.denominator))[0]
 
 
 def oracle_normalized(n: int, digits: int) -> F:
@@ -142,12 +141,12 @@ class TestChainDecision:
 
     def test_straddle_refines(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(carleman, "_normalized_fixed",
+        monkeypatch.setattr(enclosure, "_normalized_fixed",
                             lambda *args: calls.append(args) or _normalized_fixed(*args))
         ref = oracle_normalized(1, 60)
         assert chain_decision(1, ref + F(1, 2**80))
         # the bracket at 29 bits straddles; 63 and 97 bits come from refining
-        assert [prec for _, _, prec in calls] == [63, 97]
+        assert [prec for _, _, prec in calls] == [29, 63, 97]
 
     @pytest.mark.parametrize("n", [1, 2, 500])
     def test_values_within_two_to_the_minus_400_are_undecidable(self, n):

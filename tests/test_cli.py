@@ -317,6 +317,20 @@ class TestUsageErrors:
         (("check", "--target", "classic", "--n", "1", "--variant", "as-written"),
          "--variant"),
         (("expand", "--variant", "dedup"), "--variant"),
+        (("expand", "--bound", "u", "--variant", "as-written"), "--variant"),
+        (("expand", "--bound", "bare", "--variant", "dedup"), "--variant"),
+        (("prove", "--bound", "u", "--variant", "as-written"), "--variant"),
+        (("prove", "--bound", "bare", "--variant", "dedup"), "--variant"),
+        (("carleman", "--N", "3", "--scheme", "polya", "--variant", "dedup"),
+         "--variant"),
+        (("carleman", "--N", "3", "--scheme", "simple", "--variant", "dedup"),
+         "--variant"),
+        (("carleman", "--mode", "chain", "--N", "3", "--digits", "5"), "--digits"),
+        (("carleman", "--mode", "polya", "--N", "3", "--digits", "5"), "--digits"),
+        (("check", "--n", "2", "--format", "json", "--digits", "5"), "--digits"),
+        (("keller", "--n", "10", "--format", "json", "--digits", "5"), "--digits"),
+        (("keller", "--n", "10", "--format", "csv", "--exact", "--digits", "5"),
+         "--digits"),
     ])
     def test_unread_flag_is_refused(self, argv, flag, capsys):
         assert run(*argv) == (EXIT_USAGE, "")

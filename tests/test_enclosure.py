@@ -17,9 +17,9 @@ from eulerbounds.enclosure import (DomainError, RatInterval,
                                    _ln1p_fixed, check_classic_at,
                                    check_certified_at, euler_number_interval,
                                    fraction_normalized_euler_interval,
-                                   integer_nth_root, ln1p_to_width,
+                                   integer_nth_root, ln1p_to_width, normalized_below,
                                    normalized_euler_interval, nth_root_interval)
-from eulerbounds.series import Variant
+from eulerbounds.series import Variant, lower_bound, upper_bound
 
 LN2 = F("0.693147180559945309417232121458176568075500134")
 E_CONST = F("2.71828182845904523536028747135266249775724709")
@@ -319,6 +319,21 @@ class TestChecks:
     def test_classic_rejects_bad_n(self):
         with pytest.raises(DomainError):
             check_classic_at(0)
+
+    def test_integer_comparator_agrees_with_the_interval_checks(self):
+        # verify-all decides these sweeps with normalized_below alone
+        with pytest.raises(DomainError):
+            normalized_below(0, (1, 2))
+        for n in range(1, 1001):
+            classic = normalized_below(n, (2 * n, 2 * n + 1), (2 * n + 1, 2 * n + 2))
+            assert (classic == [False, True]) == check_classic_at(n, W30).holds
+        lower = lower_bound()
+        for variant in Variant:
+            upper = upper_bound(variant)
+            for n in range(1, 101):
+                verdict = normalized_below(n, lower.eval_pair(n), upper.eval_pair(n))
+                assert ((verdict == [False, True])
+                        == check_certified_at(n, variant, W30).holds)
 
 
 class TestRoots:

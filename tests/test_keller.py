@@ -9,10 +9,12 @@ from fractions import Fraction as F
 import pytest
 
 from eulerbounds.enclosure import RatInterval
+from eulerbounds import keller
+from eulerbounds.algebra import Poly
 from eulerbounds.keller import (DISPLAY_DENOMINATOR_CONSTANT, ConvergenceRow,
-                                DegreeMismatch, convergence_table,
-                                display_forms, keller_term, sandwich_bounds,
-                                sandwich_limits, sandwich_ratfuncs)
+                                DegreeMismatch, _leading_ratio, _sandwich_sides,
+                                convergence_table, display_forms, keller_term,
+                                sandwich_bounds, sandwich_limits)
 from eulerbounds.series import Variant, lower_bound, upper_bound
 
 X2 = F("1.01166846322146638438769036794401738547598061")  # (11/4)/e
@@ -80,9 +82,9 @@ class TestSymbolicLimits:
         assert sandwich_limits(variant) == (1, F(1, 24))
 
     def test_sandwich_ratfunc_degrees(self):
-        low, high = sandwich_ratfuncs(Variant.DEDUP)
-        assert low.num.degree() == low.den.degree()
-        assert high.num.degree() == high.den.degree()
+        (low, low_den), (high, high_den) = _sandwich_sides(Variant.DEDUP)
+        assert low.degree() == low_den.degree()
+        assert high.degree() == high_den.degree()
 
     def test_display_forms_reproduce_published_leading_terms(self):
         forms = {f.name: f.numerator for f in display_forms(Variant.DEDUP)}
@@ -110,6 +112,12 @@ class TestSymbolicLimits:
             assert dd[name].coeff(d) == aw[name].coeff(d)
             assert dd[name].coeff(d - 1) == aw[name].coeff(d - 1)
         assert dd["sandwich lower"] != aw["sandwich lower"]
+
+    def test_display_denominator_must_clear(self, monkeypatch):
+        # a stated denominator that leaves a remainder is refused, not truncated
+        monkeypatch.setattr(keller, "_display_denominator", lambda a, b: Poly.one())
+        with pytest.raises(ValueError, match="does not clear"):
+            display_forms(Variant.DEDUP)
 
     def test_display_denominator_constant(self):
         assert DISPLAY_DENOMINATOR_CONSTANT == 17418240
@@ -156,8 +164,6 @@ class TestConvergenceTable:
         assert row.contained == (outcome == "contained")
 
     def test_degree_mismatch_guard_exists(self):
-        # regression tripwire: a malformed rational function must raise
-        from eulerbounds.keller import _ratfunc_limit
-        from eulerbounds.algebra import Poly, RatFunc
+        # regression tripwire: a malformed (numerator, denominator) pair must raise
         with pytest.raises(DegreeMismatch):
-            _ratfunc_limit(RatFunc(Poly.one(), Poly.x()))
+            _leading_ratio(Poly.one(), Poly.x())

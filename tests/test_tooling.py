@@ -1,6 +1,6 @@
 """Repository checks: no floating point in the library, no public library
-code that only the tests use, and the benchmark tracer still finds every
-name it wraps."""
+code that only the tests use, no library module importing another's
+private names, and the benchmark tracer still finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -36,6 +36,31 @@ def test_float_scan_sees_calls_and_literals(tmp_path):
     sample.write_text("x = float(1)\ny = 0.5\nz = 2j\nw = 3\n")
     assert [f.split(": ")[1] for f in float_uses(sample)] == [
         "float()", "literal 0.5", "literal 2j"]
+
+
+def private_imports(path: Path) -> list[str]:
+    """Every underscore name one source file imports from the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "eulerbounds"):
+            found += [f"{path.name}:{node.lineno}: {alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_private_names_imported_across_library_modules(path):
+    assert private_imports(path) == []
+
+
+def test_private_import_scan_sees_package_imports_only(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("from __future__ import annotations\nfrom os import _exit\n"
+                      "from .enclosure import _kernel, public\n"
+                      "from eulerbounds.series import _horner\nfrom . import _module\n")
+    assert private_imports(sample) == [
+        "sample.py:3: _kernel", "sample.py:4: _horner", "sample.py:5: _module"]
 
 
 def name_uses(tree: ast.AST) -> list[tuple[str, int]]:

@@ -1,11 +1,14 @@
-"""The verify-all gate's exact detail formatting."""
+"""The verify-all gate's exact detail formatting, and that it still fails."""
 
+import io
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerbounds import verify
+from eulerbounds.cli import EXIT_FAIL, main
 from eulerbounds.verify import check_limit_numerics, sci_str
 
 
@@ -34,3 +37,28 @@ class TestSciStr:
     def test_limit_numerics_detail(self):
         ok, detail = check_limit_numerics()
         assert ok and detail.endswith("|midpoint(1000) - 1/24| = 1.719e-08")
+
+
+class TestGateFails:
+    def run_gate(self):
+        out = io.StringIO()
+        return main(["verify-all"], out=out), out.getvalue()
+
+    def test_wrong_telescoping_weight(self, monkeypatch):
+        weight = verify.telescoping_weight
+        monkeypatch.setattr(verify, "telescoping_weight", lambda n: (
+            weight(n) * F(n + 2, n + 1) if n == 37 else weight(n)))
+        code, out = self.run_gate()
+        assert code == EXIT_FAIL
+        assert "FAIL telescoping-identities: product identity broke at n=37\n" in out
+        assert out.endswith("CHECKS FAILED (10 checks)\n")
+
+    def test_comparator_reporting_one_violation(self, monkeypatch):
+        below = verify.normalized_below
+        monkeypatch.setattr(verify, "normalized_below",
+                            lambda n, *pairs: [True, True] if pairs[0] == (1000, 1001)
+                            else below(n, *pairs))
+        code, out = self.run_gate()
+        assert code == EXIT_FAIL
+        assert "FAIL classical-bracket: violations in 1..1000: [500]\n" in out
+        assert out.endswith("CHECKS FAILED (10 checks)\n")
