@@ -18,9 +18,9 @@ from .enclosure import (DEFAULT_WIDTH, CheckResult, DomainError, RatInterval,
                         check_certified_at, euler_number_interval,
                         integer_nth_root, ln1p_to_width, normalized_below,
                         normalized_euler_interval, nth_root_interval)
-from .keller import (ConvergenceRow, DegreeMismatch, KellerTerm,
-                     convergence_table, display_forms, keller_term,
-                     sandwich_bounds, sandwich_limits)
+from .keller import (ConvergenceRow, DegreeMismatch, convergence_table,
+                     display_forms, keller_term, sandwich_bounds,
+                     sandwich_limits)
 from .prover import (DenominatorSignUnknown, PolynomialMatch, ProofReport,
                      Refutation, SignCertificate, log_gap_second_derivative,
                      match_reference_polynomials, poly_sign_certificate,

@@ -8,6 +8,11 @@ byte-identical bytes) and exits with
     2  inconclusive / undecided,
     64 usage error.
 
+Usage errors are found while parsing, before any work: each flag's
+argparse type checks its value, and a handler checks only what depends
+on more than one flag.  After that the exception type alone sets the
+exit code: an exhausted refinement exits 2, any other failure 1.
+
 Decimal renderings never overstate precision: plain rationals are
 truncated toward zero and printed next to their exact value, interval
 endpoints are rounded outward.
@@ -19,6 +24,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +34,7 @@ from . import carleman as carl
 from . import keller as kel
 from .algebra import rat_str
 from .enclosure import (DEFAULT_WIDTH, RatInterval, RefinementExhausted,
-                        SoundnessError, check_classic_at, check_certified_at)
+                        check_classic_at, check_certified_at)
 from .prover import match_reference_polynomials, prove_bound, render_certificate
 from .series import (Variant, bare_optimal_bound, expand_bound_gap,
                      expand_relative_error, lower_bound, solve_optimal_params,
@@ -43,6 +49,9 @@ EXIT_USAGE = 64
 # CPython refuses to print an integer of more than 4300 digits; a request
 # whose output could reach that size is refused before any work.
 MAX_PRINTED_DIGITS = 4000
+# --n names at most this many indices (10^5 rows take seconds); a longer
+# table is refused before any work instead of running out of memory
+MAX_INDICES = 10**5
 # --digits defaults to None, so that modes printing no decimals can refuse it
 DEFAULT_DIGITS = 12
 
@@ -86,48 +95,67 @@ def fmt_interval(iv, digits: int) -> str:
     return f"[{dec_floor(iv.lo, digits)}, {dec_ceil(iv.hi, digits)}]"
 
 
-def parse_rational(text: str) -> Fraction:
+def bounded_int(least: int, most: Optional[int] = None):
+    """An argparse type: an integer in [least, most].  argparse reports the
+    ValueError of a malformed value as an invalid value."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least or most is not None and value > most:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}" if most is None else f"must be in {least}..{most}")
+        return value
+    return integer
+
+
+def positive_rational(text: str) -> Fraction:
+    """An argparse type: a rational > 0 such as 1e-30 or 1/3."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r} ({exc})")
+        value = Fraction(text)
+    except ZeroDivisionError as exc:  # "1/0": argparse catches only ValueError
+        raise ValueError(text) from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
 
 
-def parse_indices(items: Sequence[str]) -> list[int]:
-    """Integers and inclusive ranges: 3 7 10..20."""
-    out: list[int] = []
-    for item in items:
-        if ".." in item:
-            lo_s, hi_s = item.split("..", 1)
-            try:
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise UsageError(f"bad range {item!r}")
-            if hi < lo:
-                raise UsageError(f"empty range {item!r}")
-            out.extend(range(lo, hi + 1))
-        else:
-            try:
-                out.append(int(item))
-            except ValueError:
-                raise UsageError(f"bad index {item!r}")
-    return out
+def index_range(least: int):
+    """An argparse type: an index n or an inclusive range a..b, as a range
+    of indices >= least."""
+    def index(text: str) -> range:
+        lo, dots, hi = text.partition("..")
+        indices = range(int(lo), int(hi if dots else lo) + 1)
+        if not indices:
+            raise argparse.ArgumentTypeError(f"empty range {text!r}")
+        if indices.start < least:
+            raise argparse.ArgumentTypeError(f"indices must be >= {least}")
+        return indices
+    return index
+
+
+class _IndexCount(argparse.Action):
+    """Stores the --n ranges; refuses more than MAX_INDICES indices in all,
+    counted as stop - start since len() overflows past sys.maxsize."""
+
+    def __call__(self, parser, namespace, ranges, option_string=None):
+        if sum(r.stop - r.start for r in ranges) > MAX_INDICES:
+            raise argparse.ArgumentError(self, f"more than {MAX_INDICES} indices")
+        setattr(namespace, self.dest, ranges)
 
 
 def parse_sequence(text: str) -> carl.TestSequence:
+    """An argparse type: geometric:R, powerlaw:P or custom:a1,a2,..."""
     kind, _, arg = text.partition(":")
     try:
         if kind == "geometric":
-            return carl.TestSequence.geometric(parse_rational(arg))
+            return carl.TestSequence.geometric(arg)
         if kind == "powerlaw":
-            return carl.TestSequence.power_law(parse_rational(arg))
+            return carl.TestSequence.power_law(arg)
         if kind == "custom":
-            return carl.TestSequence.custom(
-                [parse_rational(v) for v in arg.split(",")])
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    raise UsageError(f"unknown sequence {text!r} "
-                     "(use geometric:R, powerlaw:P, custom:a1,a2,...)")
+            return carl.TestSequence.custom(arg.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
+    raise argparse.ArgumentTypeError(f"unknown sequence {text!r} "
+                                     "(use geometric:R, powerlaw:P, custom:a1,a2,...)")
 
 
 _SCHEMES = {
@@ -229,12 +257,6 @@ def cmd_prove(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    width = parse_rational(args.width)
-    if width <= 0:
-        raise UsageError("width must be positive")
-    ns = parse_indices(args.n)
-    if not ns or min(ns) < 1:
-        raise UsageError("indices must be >= 1")
     if args.target == "classic":
         _refuse_unread(args, "--target classic", "variant")
     if args.format == "json":
@@ -242,11 +264,11 @@ def cmd_check(args, out) -> int:
     variant, digits = _variant(args), args.digits or DEFAULT_DIGITS
     worst = EXIT_OK
     results = []
-    for n in ns:
+    for n in itertools.chain.from_iterable(args.n):
         if args.target == "classic":
-            res = check_classic_at(n, width)
+            res = check_classic_at(n, args.width)
         else:
-            res = check_certified_at(n, variant, width)
+            res = check_certified_at(n, variant, args.width)
         results.append(res)
         if res.status == "fails":
             worst = EXIT_FAIL
@@ -295,13 +317,8 @@ def cmd_keller(args, out) -> int:
                       f"lead {rat_str(top.leading())}, "
                       f"next {rat_str(top.coeff(top.degree() - 1))}\n")
         return EXIT_OK
-    width = parse_rational("1e-20" if args.width is None else args.width)
-    if width <= 0:
-        raise UsageError("width must be positive")
-    ns = parse_indices(args.n or ["10", "100", "1000"])
-    if not ns or min(ns) < 2:
-        raise UsageError("difference-sequence indices must be >= 2")
-    rows = kel.convergence_table(ns, width, variant)
+    ns = [10, 100, 1000] if args.n is None else itertools.chain.from_iterable(args.n)
+    rows = kel.convergence_table(ns, args.width or kel.DEFAULT_TABLE_WIDTH, variant)
     outcomes = {row.outcome for row in rows}
     code = (EXIT_FAIL if "outside" in outcomes
             else EXIT_UNDECIDED if "undecided" in outcomes else EXIT_OK)
@@ -368,7 +385,7 @@ def cmd_carleman(args, out) -> int:
         out.write(f"chain N={report.N} variant={report.variant.value}: "
                   f"{'passed' if report.passed else 'FAILED'}\n")
         return EXIT_OK if report.passed else EXIT_FAIL
-    seq = parse_sequence("geometric:1/2" if args.seq is None else args.seq)
+    seq = args.seq or carl.TestSequence.geometric(Fraction(1, 2))
     if seq.values is not None and args.N > len(seq.values):
         raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} terms "
                          "of the custom sequence")
@@ -430,7 +447,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if digits:
-            p.add_argument("--digits", type=int,
+            p.add_argument("--digits", type=bounded_int(1, MAX_PRINTED_DIGITS),
                            help=f"decimal digits in rendered output "
                                 f"(default {DEFAULT_DIGITS})")
         if variant:
@@ -440,7 +457,7 @@ def build_parser() -> _Parser:
 
     p = add("expand", cmd_expand, digits=False,
             help="series expansions of the error and bound gaps")
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=bounded_int(1), default=10)
     p.add_argument("--bound", choices=["bare", "u", "v"], default=None,
                    help="expand the value gap of this bound instead of the "
                         "symbolic relative error")
@@ -456,14 +473,14 @@ def build_parser() -> _Parser:
 
     p = add("check", cmd_check, help="rigorous pointwise inequality checks")
     p.add_argument("--target", choices=["certified", "classic"], default="certified")
-    p.add_argument("--n", nargs="+", default=["1..20"],
-                   help="indices or ranges, e.g. --n 1 2 10..20")
-    p.add_argument("--width", default="1e-30")
+    p.add_argument("--n", nargs="+", type=index_range(1), action=_IndexCount,
+                   default=[range(1, 21)], help="indices or ranges, e.g. --n 1 2 10..20")
+    p.add_argument("--width", type=positive_rational, default="1e-30")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = add("keller", cmd_keller, help="difference-sequence limits and tables")
-    p.add_argument("--n", nargs="+")
-    p.add_argument("--width")
+    p.add_argument("--n", nargs="+", type=index_range(2), action=_IndexCount)
+    p.add_argument("--width", type=positive_rational)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--exact", action="store_true", help="CSV with exact p/q entries")
     p.add_argument("--symbolic", action="store_true",
@@ -471,8 +488,8 @@ def build_parser() -> _Parser:
 
     p = add("carleman", cmd_carleman, help="weighted-mean inequality reports")
     p.add_argument("--mode", choices=["sums", "chain", "polya"], default="sums")
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--seq")
+    p.add_argument("--N", type=bounded_int(1), default=200)
+    p.add_argument("--seq", type=parse_sequence)
     p.add_argument("--scheme", choices=sorted(_SCHEMES))
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
@@ -486,35 +503,19 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "N", 1) < 1:
-            raise UsageError("--N must be >= 1")
-        if getattr(args, "order", 1) < 1:
-            raise UsageError("--order must be >= 1")
-        digits = getattr(args, "digits", None)
-        if digits is not None and digits < 1:
-            raise UsageError("--digits must be >= 1")
-        if digits is not None and digits > MAX_PRINTED_DIGITS:
-            raise UsageError(f"--digits must be <= {MAX_PRINTED_DIGITS}")
         # written only once the handler returns: a failure prints nothing
         buf = io.StringIO()
         code = args.fn(args, buf)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SoundnessError as exc:
-        # a ValueError, but a fault of the enclosures, not of the input
-        print(f"failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RefinementExhausted as exc:
         # the last stage could not decide; nothing was refuted
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    except ArithmeticError as exc:
-        # e.g. the doubled-term variant's inverted sandwich: a failed
-        # mathematical claim, not a usage problem
+    except (ArithmeticError, ValueError) as exc:
+        # every input was checked while parsing, so this is a failed claim
+        # (the doubled-term variant's inverted sandwich) or a fault
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     out.write(buf.getvalue())

@@ -31,21 +31,13 @@ class DegreeMismatch(ArithmeticError):
     """A sandwich rational function lost its expected degree structure."""
 
 
-@dataclass(frozen=True)
-class KellerTerm:
-    """One rigorously enclosed value of x_n (needs n >= 2)."""
-
-    n: int
-    value: RatInterval
-
-
-def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> KellerTerm:
-    """Enclose x_n = (n+1) E(n) - n E(n-1) to the requested width."""
+def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> RatInterval:
+    """Enclose x_n = (n+1) E(n) - n E(n-1) (needs n >= 2) to the requested width."""
     if n < 2:
         raise ValueError("the difference sequence needs n >= 2")
     here = normalized_euler_interval(n, target_width / (2 * (n + 1)))
     prev = normalized_euler_interval(n - 1, target_width / (2 * n))
-    return KellerTerm(n, here.scale(n + 1) - prev.scale(n))
+    return here.scale(n + 1) - prev.scale(n)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +186,7 @@ def convergence_table(ns: Iterable[int],
     rows = []
     for n in ns:
         term = keller_term(n, target_width / (n * n))
-        rate = (term.value - 1).scale(n * n)
+        rate = (term - 1).scale(n * n)
         lo, hi = sandwich_bounds(n, variant)
         rows.append(ConvergenceRow(n, rate,
                                    Fraction(n * n) * (lo - 1),

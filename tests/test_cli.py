@@ -1,16 +1,19 @@
 """Command line behaviour: dispatch, exit codes, formats, determinism."""
 
+import importlib
 import io
+import pkgutil
 import time
 
 import pytest
 
-from eulerbounds import carleman, enclosure
+import eulerbounds
+from eulerbounds import carleman, cli, enclosure, keller
+from eulerbounds.algebra import Poly
 from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
-                             dec_ceil, dec_floor, dec_trunc, main,
-                             parse_indices)
-from eulerbounds.enclosure import RatInterval
+                             dec_ceil, dec_floor, dec_trunc, index_range, main)
+from eulerbounds.enclosure import RatInterval, RefinementExhausted
 from fractions import Fraction as F
 
 
@@ -35,7 +38,9 @@ class TestRendering:
         assert dec_floor(F(1, 4), 2) == dec_ceil(F(1, 4), 2) == "0.25"
 
     def test_parse_indices(self):
-        assert parse_indices(["3", "7", "10..12"]) == [3, 7, 10, 11, 12]
+        index = index_range(1)
+        assert ([n for item in ["3", "7", "10..12"] for n in index(item)]
+                == [3, 7, 10, 11, 12])
 
 
 class TestCommands:
@@ -301,6 +306,13 @@ class TestUsageErrors:
         ("carleman", "--mode", "polya", "--format", "csv"),
         ("keller", "--width="),
         ("carleman", "--seq="),
+        ("check", "--width", "1/0", "--n", "1"),
+        ("keller", "--width", "1/0"),
+        ("carleman", "--seq", "custom:1/0"),
+        ("check", "--n", "3.."),
+        ("check", "--n", "..5"),
+        ("check", "--n", "5..3"),
+        ("keller", "--n", "0"),
     ])
     def test_exit_64(self, argv, capsys):
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE
@@ -350,6 +362,16 @@ class TestUsageErrors:
         assert time.perf_counter() - start < 1
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--n", "1..10000000000"),
+        ("keller", "--n", "2..60000", "60001..120000"),
+    ])
+    def test_too_many_indices_are_refused_before_any_work(self, argv, capsys):
+        start = time.perf_counter()
+        assert run(*argv) == (EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert "--n" in capsys.readouterr().err
+
     def test_largest_printable_sizes_still_print(self):
         # 1000 * len("1001") = 4000: (1001)^1000 has 3001 digits
         code, out = run("carleman", "--mode", "polya", "--N", "1000")
@@ -388,3 +410,53 @@ class TestEnclosureFailures:
         assert main(["check", "--n", "1", "--width", "1e-600"],
                     out=io.StringIO()) == EXIT_UNDECIDED
         assert capsys.readouterr().err.startswith("undecided:")
+
+
+def library_errors():
+    """Every ValueError or ArithmeticError subclass the library defines."""
+    found = set()
+    for info in pkgutil.iter_modules(eulerbounds.__path__):
+        if not info.name.startswith("_"):
+            module = importlib.import_module(f"eulerbounds.{info.name}")
+            found |= {cls for cls in vars(module).values()
+                      if isinstance(cls, type) and cls.__module__ == module.__name__
+                      and issubclass(cls, (ValueError, ArithmeticError))}
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def raising(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+class TestExitCodeFollowsTheExceptionType:
+    """Every input is checked while parsing, so an exception a handler
+    raises is a failure or an exhausted refinement, never a usage error."""
+
+    def test_the_sweep_sees_the_library_errors(self):
+        assert {enclosure.DomainError, enclosure.SoundnessError,
+                RefinementExhausted} <= set(library_errors())
+
+    @pytest.mark.parametrize("error", library_errors() + [ValueError, ZeroDivisionError],
+                             ids=lambda cls: cls.__name__)
+    def test_raised_from_a_handler(self, error, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_all", raising(error("injected")))
+        code, prefix = ((EXIT_UNDECIDED, "undecided:") if error is RefinementExhausted
+                        else (EXIT_FAIL, "failed:"))
+        assert run("verify-all") == (code, "")
+        assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("module, name, fault, argv", [
+        # a display denominator that no longer clears the sandwich
+        (keller, "_display_denominator", lambda pow_n, pow_nm1: Poly.one(),
+         ("keller", "--symbolic")),
+        (enclosure, "_normalized_fixed", raising(enclosure.DomainError("injected")),
+         ("verify-all",)),
+        (carleman, "telescoping_weight", raising(ZeroDivisionError("injected")),
+         ("carleman", "--mode", "polya")),
+    ], ids=["keller-display", "verify-all-domain", "polya-weight"])
+    def test_library_fault(self, module, name, fault, argv, monkeypatch, capsys):
+        monkeypatch.setattr(module, name, fault)
+        assert run(*argv) == (EXIT_FAIL, "")
+        assert capsys.readouterr().err.startswith("failed:")

@@ -27,15 +27,15 @@ RATE1000 = F("0.0416666838541761825595510603561809975583508154")
 class TestKellerTerm:
     def test_first_term_encloses_exact_value(self):
         term = keller_term(2, F(1, 10**20))
-        assert term.value.width <= F(1, 10**20)
-        assert term.value.lo < X2 < term.value.hi
+        assert term.width <= F(1, 10**20)
+        assert term.lo < X2 < term.hi
 
     def test_width_contract(self):
         for width in (F(1, 10**6), F(1, 10**25)):
-            assert keller_term(10, width).value.width <= width
+            assert keller_term(10, width).width <= width
 
     def test_tenth_term(self):
-        value = keller_term(10, F(1, 10**20)).value
+        value = keller_term(10, F(1, 10**20))
         assert value.lo < X10 < value.hi
 
     def test_domain_guard(self):
@@ -68,7 +68,7 @@ class TestSandwich:
     def test_term_within_sandwich(self):
         for n in range(2, 51):
             lo, hi = sandwich_bounds(n, Variant.DEDUP)
-            value = keller_term(n, F(1, 10**15)).value
+            value = keller_term(n, F(1, 10**15))
             assert lo < value.lo and value.hi < hi
 
     def test_domain_guard(self):
