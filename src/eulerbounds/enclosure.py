@@ -451,6 +451,8 @@ def nth_root_interval(q: Fraction, k: int, width: Fraction = DEFAULT_WIDTH) -> R
         raise DomainError("n-th root enclosure needs a positive argument")
     if k < 1:
         raise ValueError("root index must be >= 1")
+    if width <= 0:  # no power of ten is that narrow
+        raise DomainError("n-th root enclosure needs a positive width")
     rn = integer_nth_root(q.numerator, k)
     rd = integer_nth_root(q.denominator, k)
     if rn**k == q.numerator and rd**k == q.denominator:

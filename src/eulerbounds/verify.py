@@ -22,6 +22,7 @@ from .series import (ParamPoly, Variant, bare_optimal_bound,
                      expand_bound_gap, expand_relative_error, lower_bound,
                      solve_optimal_params, upper_bound)
 
+WIDTH_12 = Fraction(1, 10**12)
 WIDTH_30 = Fraction(1, 10**30)
 
 
@@ -122,7 +123,7 @@ def check_limit_symbolics() -> tuple[bool, str]:
 
 def check_limit_numerics() -> tuple[bool, str]:
     """Rigorous n^2(x_n - 1) intervals sit inside the exact sandwich."""
-    rows = convergence_table([10, 100, 1000], Fraction(1, 10**12))
+    rows = convergence_table([10, 100, 1000], WIDTH_12)
     contained = all(row.contained for row in rows)
     final = rows[-1].rate
     near = abs(final.midpoint - Fraction(1, 24)) < Fraction(1, 1000)
@@ -157,7 +158,12 @@ def check_telescoping_identities() -> tuple[bool, str]:
 
 
 def check_weight_chains() -> tuple[bool, str]:
-    """The 10^4-term weight chain and the finite-N inequality sums."""
+    """The 10^4-term weight chain and the finite-N inequality sums.
+
+    Each sum is decided as lhs.hi <= rhs.lo with lhs enclosed to WIDTH_12.
+    The lhs brackets nest as the width shrinks, so a PASS here is a PASS at
+    DEFAULT_WIDTH; the smallest margin is about 0.46.
+    """
     report = termwise_weight_chain(10**4, Variant.DEDUP)
     details = [f"chain N=10^4 passed={report.passed} "
                f"non-improving={list(report.non_improving)}"]
@@ -168,7 +174,7 @@ def check_weight_chains() -> tuple[bool, str]:
     schemes = [WeightScheme.polya(), WeightScheme.simple(),
                WeightScheme.refined(Variant.DEDUP)]
     for seq in sequences:
-        lhs = geometric_mean_sum(seq, 200)
+        lhs = geometric_mean_sum(seq, 200, WIDTH_12)
         for scheme in schemes:
             if not lhs.hi <= weighted_sum(seq, scheme, 200).lo:
                 ok = False

@@ -264,8 +264,27 @@ class TestPolyaBracket:
 
 
 @functools.cache
+def mean_sum(seq: TestSequence, N: int, width: F = DEFAULT_WIDTH) -> RatInterval:
+    return geometric_mean_sum(seq, N, width)
+
+
 def power_law_lhs(p: int, N: int) -> RatInterval:
-    return geometric_mean_sum(TestSequence.power_law(p), N)
+    return mean_sum(TestSequence.power_law(p), N)
+
+
+class TestMeanSumNesting:
+    """verify-all decides its sums at 1e-12 and trusts the verdict at
+    DEFAULT_WIDTH: that needs the coarse lhs to contain the fine one."""
+
+    @pytest.mark.parametrize("seq", [TestSequence.geometric(F(1, 2)),
+                                     TestSequence.geometric(F(9, 10)),
+                                     TestSequence.power_law(2)],
+                             ids=lambda seq: seq.describe())
+    @pytest.mark.parametrize("N", [1, 2, 17, 200])
+    def test_coarse_lhs_contains_the_default_width_lhs(self, seq, N):
+        coarse, fine = mean_sum(seq, N, F(1, 10**12)), mean_sum(seq, N)
+        assert coarse.width <= F(1, 10**12)
+        assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
 
 
 class TestPowerLawOracle:

@@ -2,8 +2,12 @@
 
 import importlib
 import io
+import os
 import pkgutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,20 @@ class TestCommands:
         assert "out of order" in capsys.readouterr().err
 
 
+class TestHelp:
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("carleman", "--help"),
+                                      ("verify-all", "-h")])
+    def test_help_is_written_to_out_and_exits_0(self, argv, monkeypatch, capsys):
+        with monkeypatch.context() as m:  # argparse's own help: stdout, then exit 0
+            m.delattr(cli._Parser, "print_help")
+            with pytest.raises(SystemExit, match="^0$"):
+                cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr().out
+        assert expected.startswith("usage: ")
+        assert run(*argv) == (EXIT_OK, expected)
+        assert capsys.readouterr() == ("", "")
+
+
 class TestCarlemanBytes:
     """Printed sums, pinned byte for byte."""
 
@@ -279,6 +297,17 @@ class TestDeterminism:
         run("nonsense")
         assert run("check", "--n", "3") == first
         assert run("check") == run("check", "--n", "1..20")
+
+
+def test_only_the_csv_formats_load_csv():
+    code = ("import io, sys; from eulerbounds import cli; "
+            "cli.main(['check', '--n', '2'], out=io.StringIO()); before = 'csv' in sys.modules; "
+            "cli.main(['keller', '--n', '10', '--format', 'csv'], out=io.StringIO()); "
+            "print(before, 'csv' in sys.modules)")
+    src = str(Path(eulerbounds.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout == "False True\n"
 
 
 class TestUsageErrors:

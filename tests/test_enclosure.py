@@ -5,6 +5,8 @@ working precision (mpmath) and frozen here as strings: the enclosure under
 test must trap them.
 """
 
+import contextlib
+import signal
 from fractions import Fraction as F
 
 import mpmath
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.enclosure import (DomainError, RatInterval,
                                    RefinementExhausted, SoundnessError, _exp_fixed,
                                    _ln1p_fixed, check_classic_at,
@@ -359,6 +362,31 @@ class TestRoots:
     def test_root_domain_guard(self):
         with pytest.raises(DomainError):
             nth_root_interval(F(-1), 2)
+
+    @pytest.mark.parametrize("enclose", [
+        lambda: nth_root_interval(F(2), 2, F(0)),
+        lambda: nth_root_interval(F(2), 2, F(-1)),
+        lambda: nth_root_interval(F(4), 2, F(0)),
+        lambda: TestSequence.geometric(F(1, 2)).geometric_mean_enclosure(2, F(0)),
+        lambda: geometric_mean_sum(TestSequence.power_law(2), 5, F(0)),
+    ], ids=["zero", "negative", "perfect-square", "mean", "sum"])
+    def test_width_guard_refuses_promptly(self, enclose):
+        with time_budget(1), pytest.raises(DomainError, match="positive width"):
+            enclose()
+
+
+@contextlib.contextmanager
+def time_budget(seconds: int):
+    """Fail, instead of hanging, when the block outlasts its budget."""
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 ROOT_DIGITS = st.integers(min_value=8, max_value=60)

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerbounds import verify
+from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.cli import EXIT_FAIL, main
-from eulerbounds.verify import check_limit_numerics, sci_str
+from eulerbounds.enclosure import DEFAULT_WIDTH, RatInterval
+from eulerbounds.verify import (WIDTH_12, check_limit_numerics,
+                                check_weight_chains, sci_str)
 
 
 class TestSciStr:
@@ -62,3 +65,42 @@ class TestGateFails:
         assert code == EXIT_FAIL
         assert "FAIL classical-bracket: violations in 1..1000: [500]\n" in out
         assert out.endswith("CHECKS FAILED (10 checks)\n")
+
+
+SUMS_PASS = ("chain N=10^4 passed=True non-improving=[1]; "
+             "sums at N=200: lhs.hi <= rhs.lo for 3 sequences x 3 schemes")
+HALF = TestSequence.geometric(F(1, 2))
+
+
+class TestWeightChainSums:
+    """The sums are decided at WIDTH_12 alone."""
+
+    @pytest.fixture
+    def widths(self, monkeypatch):
+        seen = []
+
+        def spy(seq, N, width=DEFAULT_WIDTH):
+            seen.append(width)
+            return geometric_mean_sum(seq, N, width)
+        monkeypatch.setattr(verify, "geometric_mean_sum", spy)
+        return seen
+
+    def test_passing_sums_stay_coarse(self, widths):
+        assert check_weight_chains() == (True, SUMS_PASS)
+        assert widths == [WIDTH_12] * 3
+
+    def test_a_violation_fails_verify_all(self, widths, monkeypatch):
+        """geometric(1/2) under the simple weights gets an rhs.lo below
+        the coarse lhs.hi."""
+        lo = geometric_mean_sum(HALF, 200, WIDTH_12).lo
+        weighted = verify.weighted_sum
+        monkeypatch.setattr(verify, "weighted_sum", lambda seq, scheme, N: (
+            RatInterval(lo, lo + 1) if (seq, scheme.kind) == (HALF, "simple")
+            else weighted(seq, scheme, N)))
+        out = io.StringIO()
+        assert main(["verify-all"], out=out) == EXIT_FAIL
+        assert ("FAIL weight-chains: chain N=10^4 passed=True non-improving=[1]; "
+                "geometric(1/2)/simple: VIOLATED; sums at N=200: "
+                "lhs.hi <= rhs.lo for 3 sequences x 3 schemes\n") in out.getvalue()
+        assert out.getvalue().endswith("CHECKS FAILED (10 checks)\n")
+        assert widths == [WIDTH_12] * 3
