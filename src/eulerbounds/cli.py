@@ -16,6 +16,9 @@ exit code: an exhausted refinement exits 2, any other failure 1.
 Decimal renderings never overstate precision: plain rationals are
 truncated toward zero and printed next to their exact value, interval
 endpoints are rounded outward.
+
+Each handler imports the library layers it runs when it is called, so
+start-up and every command pay only for the layers they use.
 """
 
 from __future__ import annotations
@@ -29,17 +32,6 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import carleman as carl
-from . import keller as kel
-from .algebra import rat_str
-from .enclosure import (DEFAULT_WIDTH, RatInterval, RefinementExhausted,
-                        check_classic_at, check_certified_at)
-from .prover import match_reference_polynomials, prove_bound, render_certificate
-from .series import (Variant, bare_optimal_bound, expand_bound_gap,
-                     expand_relative_error, lower_bound, solve_optimal_params,
-                     upper_bound)
-from .verify import run_all
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
@@ -51,6 +43,9 @@ MAX_PRINTED_DIGITS = 4000
 # --n names at most this many indices (10^5 rows take seconds); a longer
 # table is refused before any work instead of running out of memory
 MAX_INDICES = 10**5
+# expand --bound v --order 400 takes about 1 s, and the cost grows as the
+# order cubed, so a higher order is refused before any work
+MAX_ORDER = 400
 # --digits defaults to None, so that modes printing no decimals can refuse it
 DEFAULT_DIGITS = 12
 
@@ -120,10 +115,20 @@ def bounded_int(least: int, most: Optional[int] = None):
     return integer
 
 
+def rational(text: str) -> Fraction:
+    """Fraction(text), refusing a decimal exponent beyond MAX_PRINTED_DIGITS
+    before Fraction builds 10^exponent (1e-10000000000 would never end)."""
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_PRINTED_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: decimal exponent of magnitude > {MAX_PRINTED_DIGITS}")
+    return Fraction(text)
+
+
 def positive_rational(text: str) -> Fraction:
     """An argparse type: a rational > 0 such as 1e-30 or 1/3."""
     try:
-        value = Fraction(text)
+        value = rational(text)
     except ZeroDivisionError as exc:  # "1/0": argparse catches only ValueError
         raise ValueError(text) from exc
     if value <= 0:
@@ -155,34 +160,35 @@ class _IndexCount(argparse.Action):
         setattr(namespace, self.dest, ranges)
 
 
-def parse_sequence(text: str) -> carl.TestSequence:
-    """An argparse type: geometric:R, powerlaw:P or custom:a1,a2,..."""
+def parse_sequence(text: str):
+    """An argparse type: a TestSequence from geometric:R, powerlaw:P or
+    custom:a1,a2,..."""
+    from .carleman import TestSequence
     kind, _, arg = text.partition(":")
     try:
         if kind == "geometric":
-            return carl.TestSequence.geometric(arg)
+            return TestSequence.geometric(rational(arg))
         if kind == "powerlaw":
-            return carl.TestSequence.power_law(arg)
+            return TestSequence.power_law(rational(arg))
         if kind == "custom":
-            return carl.TestSequence.custom(arg.split(","))
+            return TestSequence.custom(map(rational, arg.split(",")))
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}")
     raise argparse.ArgumentTypeError(f"unknown sequence {text!r} "
                                      "(use geometric:R, powerlaw:P, custom:a1,a2,...)")
 
 
-_SCHEMES = {
-    "polya": lambda variant: carl.WeightScheme.polya(),
-    "simple": lambda variant: carl.WeightScheme.simple(),
-    "refined": carl.WeightScheme.refined,
-}
+_SCHEMES = ("polya", "refined", "simple")
 
-def _variant(args) -> Variant:
+
+def _variant(args):
+    from .series import Variant
     return Variant(args.variant or Variant.DEDUP.value)
 
 
 def _bound(args):
     """The --bound named; only the upper bound v reads --variant."""
+    from .series import bare_optimal_bound, lower_bound, upper_bound
     if args.bound == "v":
         return upper_bound(_variant(args))
     _refuse_unread(args, f"--bound {args.bound}", "variant")
@@ -203,6 +209,8 @@ def _refuse_unread(args, mode: str, *flags: str) -> None:
 
 
 def cmd_expand(args, out) -> int:
+    from .algebra import rat_str
+    from .series import expand_bound_gap, expand_relative_error
     if args.bound is None:
         _refuse_unread(args, "the symbolic expansion", "variant")
         if args.order < 3:
@@ -224,6 +232,8 @@ def cmd_expand(args, out) -> int:
 
 
 def cmd_optimize(args, out) -> int:
+    from .algebra import rat_str
+    from .series import solve_optimal_params
     got = solve_optimal_params()
     out.write(f"a = {rat_str(got.a)}\n")
     out.write(f"b = {rat_str(got.b)}\n")
@@ -234,6 +244,8 @@ def cmd_optimize(args, out) -> int:
 
 
 def cmd_prove(args, out) -> int:
+    from .algebra import rat_str
+    from .prover import match_reference_polynomials, prove_bound, render_certificate
     bound = _bound(args)
     side = args.side or {"bare": "upper", "u": "lower", "v": "upper"}[args.bound]
     report = prove_bound(bound, side)
@@ -270,6 +282,8 @@ def cmd_prove(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
+    from .algebra import rat_str
+    from .enclosure import check_certified_at, check_classic_at
     if args.target == "classic":
         _refuse_unread(args, "--target classic", "variant")
     if args.format == "json":
@@ -310,6 +324,8 @@ _CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"
 
 
 def cmd_keller(args, out) -> int:
+    from . import keller as kel
+    from .algebra import rat_str
     if args.symbolic and args.format != "text":
         raise UsageError("--symbolic writes text only")
     if args.exact and args.format != "csv":
@@ -372,6 +388,9 @@ def cmd_keller(args, out) -> int:
 
 
 def cmd_carleman(args, out) -> int:
+    from . import carleman as carl
+    from .algebra import rat_str
+    from .enclosure import DEFAULT_WIDTH, RatInterval
     if args.mode != "sums" and args.format != "text":
         raise UsageError(f"--mode {args.mode} writes text only")
     if args.mode == "polya":
@@ -404,7 +423,9 @@ def cmd_carleman(args, out) -> int:
                          "of the custom sequence")
     if args.scheme in ("polya", "simple"):
         _refuse_unread(args, f"--scheme {args.scheme}", "variant")
-    scheme = _SCHEMES[args.scheme or "refined"](variant)
+        scheme = getattr(carl.WeightScheme, args.scheme)()
+    else:
+        scheme = carl.WeightScheme.refined(variant)
     digits = args.digits or DEFAULT_DIGITS
     if args.format == "csv":
         # the rows' enclosures summed in order are geometric_mean_sum's lhs
@@ -438,6 +459,7 @@ def cmd_carleman(args, out) -> int:
 
 
 def cmd_verify_all(args, out) -> int:
+    from .verify import run_all
     return EXIT_OK if run_all(out) else EXIT_FAIL
 
 
@@ -464,13 +486,13 @@ def build_parser() -> _Parser:
                            help=f"decimal digits in rendered output "
                                 f"(default {DEFAULT_DIGITS})")
         if variant:
-            p.add_argument("--variant", choices=[v.value for v in Variant],
+            p.add_argument("--variant", choices=["as-written", "dedup"],
                            help="doubled or single 1/x^5 correction in the upper bound")
         return p
 
     p = add("expand", cmd_expand, digits=False,
             help="series expansions of the error and bound gaps")
-    p.add_argument("--order", type=bounded_int(1), default=10)
+    p.add_argument("--order", type=bounded_int(1, MAX_ORDER), default=10)
     p.add_argument("--bound", choices=["bare", "u", "v"], default=None,
                    help="expand the value gap of this bound instead of the "
                         "symbolic relative error")
@@ -503,7 +525,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["sums", "chain", "polya"], default="sums")
     p.add_argument("--N", type=bounded_int(1), default=200)
     p.add_argument("--seq", type=parse_sequence)
-    p.add_argument("--scheme", choices=sorted(_SCHEMES))
+    p.add_argument("--scheme", choices=_SCHEMES)
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
     add("verify-all", cmd_verify_all, digits=False, variant=False,
@@ -525,15 +547,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RefinementExhausted as exc:
-        # the last stage could not decide; nothing was refuted
-        print(f"undecided: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
     except (ArithmeticError, ValueError) as exc:
-        # every input was checked while parsing, so this is a failed claim
-        # (the doubled-term variant's inverted sandwich) or a fault
-        print(f"failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        from .enclosure import RefinementExhausted  # not loaded at start-up
+        # an exhausted refinement could not decide and refuted nothing; every
+        # input was checked while parsing, so any other error is a failed
+        # claim (the doubled-term variant's inverted sandwich) or a fault
+        undecided = isinstance(exc, RefinementExhausted)
+        print(f"{'undecided' if undecided else 'failed'}: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED if undecided else EXIT_FAIL
     out.write(buf.getvalue())
     return code
 

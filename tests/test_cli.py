@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 import eulerbounds
-from eulerbounds import carleman, cli, enclosure, keller
+from eulerbounds import carleman, cli, enclosure, keller, verify
 from eulerbounds.algebra import Poly
 from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
                              dec_ceil, dec_floor, dec_trunc, index_range, main)
 from eulerbounds.enclosure import RatInterval, RefinementExhausted
+from eulerbounds.series import Variant
 from fractions import Fraction as F
 
 
@@ -226,6 +227,12 @@ class TestHelp:
         assert run(*argv) == (EXIT_OK, expected)
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize("command", ["expand", "prove", "check", "keller", "carleman"])
+    def test_variant_choices_are_the_variants(self, command):
+        # the parser lists them literally so that start-up loads no series
+        choices = "{" + ",".join(v.value for v in Variant) + "}"
+        assert f"--variant {choices}\n" in run(command, "--help")[1]
+
 
 class TestCarlemanBytes:
     """Printed sums, pinned byte for byte."""
@@ -299,15 +306,54 @@ class TestDeterminism:
         assert run("check") == run("check", "--n", "1..20")
 
 
+def fresh_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this checkout's
+    eulerbounds; outlasting the timeout fails the test instead of hanging it."""
+    src = str(Path(eulerbounds.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_only_the_csv_formats_load_csv():
     code = ("import io, sys; from eulerbounds import cli; "
             "cli.main(['check', '--n', '2'], out=io.StringIO()); before = 'csv' in sys.modules; "
             "cli.main(['keller', '--n', '10', '--format', 'csv'], out=io.StringIO()); "
             "print(before, 'csv' in sys.modules)")
-    src = str(Path(eulerbounds.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert proc.stdout == "False True\n"
+    assert fresh_python("-c", code).stdout == "False True\n"
+
+
+def loaded_package_modules(code: str) -> list[str]:
+    """The eulerbounds modules a new interpreter holds after running ``code``."""
+    proc = fresh_python("-c", code + "; import sys; print(*sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'eulerbounds'))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_start_up_loads_no_library_layer():
+    assert loaded_package_modules("import eulerbounds.cli as cli; cli.build_parser()") == [
+        "eulerbounds", "eulerbounds.cli"]
+
+
+SYMBOLIC = ["algebra", "series"]
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["optimize"], SYMBOLIC),
+    (["expand"], SYMBOLIC),
+    (["check"], SYMBOLIC + ["enclosure"]),
+    (["prove"], SYMBOLIC + ["enclosure", "prover"]),
+    (["keller"], SYMBOLIC + ["enclosure", "keller"]),
+    (["carleman"], SYMBOLIC + ["enclosure", "carleman"]),
+    (["verify-all"], SYMBOLIC + ["enclosure", "prover", "keller", "carleman", "verify"]),
+    # refused while parsing: only a --seq value, parsed first, loads a layer
+    (["carleman", "--N", "0"], []),
+    (["carleman", "--seq", "geometric:1/2", "--N", "0"], SYMBOLIC + ["enclosure", "carleman"]),
+], ids=" ".join)
+def test_each_command_loads_only_its_layers(argv, layers):
+    code = f"import io; from eulerbounds import cli; cli.main({argv}, out=io.StringIO())"
+    assert loaded_package_modules(code) == sorted(
+        ["eulerbounds", "eulerbounds.cli"] + [f"eulerbounds.{m}" for m in layers])
 
 
 class TestUsageErrors:
@@ -384,12 +430,29 @@ class TestUsageErrors:
         (("check", "--digits", "5000"), "--digits"),
         (("keller", "--digits", "5000"), "--digits"),
         (("optimize", "--digits", "4001"), "--digits"),
+        # above MAX_ORDER: the gap series costs about the order cubed
+        (("expand", "--bound", "u", "--order", "1000"), "--order"),
+        (("expand", "--bound", "v", "--order", str(cli.MAX_ORDER + 1)), "--order"),
     ])
     def test_oversize_output_is_refused_before_any_work(self, argv, flag, capsys):
         start = time.perf_counter()
         assert run(*argv) == (EXIT_USAGE, "")
         assert time.perf_counter() - start < 1
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("check", "--n", "2", "--width", "1e-10000000000"), "--width"),
+        (("keller", "--width", "1E-4001"), "--width"),
+        (("carleman", "--seq", "geometric:1e-10000000000"), "--seq"),
+        (("carleman", "--seq", "powerlaw:1e+10_000_000_000"), "--seq"),
+        (("carleman", "--seq", "custom:1,1e10000000000", "--N", "2"), "--seq"),
+    ])
+    def test_huge_decimal_exponents_are_refused_before_they_are_read(self, argv, flag):
+        # Fraction would build 10^(10^10) in one C call that no signal
+        # interrupts, so the 1 s budget is a child process's timeout
+        proc = fresh_python("-m", "eulerbounds", *argv, timeout=1)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert f"{flag}: " in proc.stderr and "decimal exponent" in proc.stderr
 
     @pytest.mark.parametrize("argv", [
         ("check", "--n", "1..10000000000"),
@@ -407,6 +470,8 @@ class TestUsageErrors:
         assert code == EXIT_OK and len(out.splitlines()) == 3
         code, out = run("optimize", "--digits", "4000")
         assert code == EXIT_OK and len(out) > 4000
+        code, out = run("expand", "--order", str(cli.MAX_ORDER))
+        assert code == EXIT_OK and out.splitlines()[-1].startswith(f"t^{cli.MAX_ORDER}: ")
 
     def test_a_failing_handler_writes_nothing(self, monkeypatch):
         # the polya report writes two lines before it needs the weight
@@ -435,10 +500,12 @@ class TestEnclosureFailures:
         assert err.startswith("failed:") and "soundness" in err
 
     def test_exhausted_stages_are_undecided(self, capsys):
-        # the last stage reaches 1e-512, so 1e-600 cannot be decided
-        assert main(["check", "--n", "1", "--width", "1e-600"],
-                    out=io.StringIO()) == EXIT_UNDECIDED
-        assert capsys.readouterr().err.startswith("undecided:")
+        # the last stage reaches 1e-512, so 1e-600 cannot be decided, nor
+        # 1e-4000, the finest width --width accepts
+        for width in ("1e-600", "1e-4000"):
+            assert main(["check", "--n", "1", "--width", width],
+                        out=io.StringIO()) == EXIT_UNDECIDED
+            assert capsys.readouterr().err.startswith("undecided:")
 
 
 def library_errors():
@@ -470,7 +537,7 @@ class TestExitCodeFollowsTheExceptionType:
     @pytest.mark.parametrize("error", library_errors() + [ValueError, ZeroDivisionError],
                              ids=lambda cls: cls.__name__)
     def test_raised_from_a_handler(self, error, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "run_all", raising(error("injected")))
+        monkeypatch.setattr(verify, "run_all", raising(error("injected")))
         code, prefix = ((EXIT_UNDECIDED, "undecided:") if error is RefinementExhausted
                         else (EXIT_FAIL, "failed:"))
         assert run("verify-all") == (code, "")

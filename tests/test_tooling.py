@@ -161,6 +161,9 @@ def test_benchmark_tracer_installs_and_restores():
     tracer_module = load_tracer()
     from eulerbounds import enclosure
 
+    # every layer the tracer patches, so that its restore is checked on all
+    for layer in tracer_module.LAYERS:
+        importlib.import_module(f"eulerbounds.{layer}")
     owners = [m for k, m in sys.modules.items() if k.split(".")[0] == "eulerbounds"]
     owners += [getattr(sys.modules[f"eulerbounds.{mod}"], cls)
                for _, mod, cls, _, _ in tracer_module.METHODS]
