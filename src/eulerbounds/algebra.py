@@ -9,7 +9,7 @@ endpoints, sandwich sequences) is built on three carriers:
   polynomial is the empty list; otherwise the top coefficient is nonzero;
 * ``RatFunc`` -- a quotient of two ``Poly`` kept in canonical form:
   gcd(num, den) = 1 and den monic (so structural equality is semantic
-  equality).
+  equality); it serves only the prover's second derivative f''.
 
 There is deliberately no floating point anywhere in this module: sign
 certificates and refutation witnesses must be bit-exact.  Degrees stay
@@ -23,10 +23,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a zero of its denominator."""
 
 
 def rat_str(q: Fraction) -> str:
@@ -276,21 +272,10 @@ class RatFunc:
     def __setattr__(self, *_):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def constant(cls, c: Scalar) -> "RatFunc":
-        return cls(Poly.constant(c))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r}, {self.den!r})"
@@ -311,7 +296,7 @@ class RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero:
+        if other.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
 
@@ -321,21 +306,3 @@ class RatFunc:
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
-
-    def eval(self, x: Scalar) -> Fraction:
-        d = self.den.eval(x)
-        if d == 0:
-            raise PoleError(f"pole at {x}")
-        return self.num.eval(x) / d
-
-    # -- integer normal form -------------------------------------------
-
-    def primitive_parts(self) -> tuple[Fraction, Poly, Poly]:
-        """Return (scale, N, D) with self = scale * N / D, where N and D are
-        primitive integer polynomials with positive leading coefficients.
-
-        The scale carries the sign, so N is directly comparable against
-        published integer coefficient tables."""
-        cn, pn = self.num.content_and_primitive()
-        cd, pd = self.den.content_and_primitive()
-        return cn / cd, pn, pd

@@ -1,6 +1,7 @@
 """Machine-checkable convexity/concavity certificates for the bound gaps.
 
-For a candidate bound B the logarithmic gap is
+For a candidate bound B = P/Q (the bound's integer polynomials) the
+logarithmic gap is
 
     f(x) = x ln(1+1/x) - 1 - ln(B(x)),
 
@@ -13,14 +14,16 @@ If f'' > 0 on [1, oo) and f -> 0 at infinity, then f > 0 on [1, oo)
 rules out touching 0), i.e. the bound is a strict lower bound; the
 concave mirror image proves strict upper bounds.
 
-Positivity of a polynomial on a ray is certified by dividing out the
-boundary root, Taylor-shifting to the base point and checking that all
+Each proof obligation -- P > 0 and Q > 0 on [1, oo), and the sign of
+the numerator of f'' -- is certified on one polynomial by dividing out
+the boundary root, Taylor-shifting to x = 1 and checking that all
 coefficients share one sign.  The test is only sufficient, but it is
 conclusive for every certified bound here, so it is the one proof form:
-cleared numerator = (x - 1)^m * shifted(x - 1), every coefficient of one
-sign, which a reader can recheck by hand.  Mixed signs give no
-certificate, never a wrong one; the prover then hunts for an exact
-numeric refutation witness instead.
+polynomial = (x - 1)^m * shifted(x - 1), every coefficient of one sign,
+which a reader can recheck by hand.  Mixed signs give no certificate,
+never a wrong one; the prover then hunts for an exact numeric refutation
+witness instead.  The monic denominator of f'' divides x (x+1)^2 P^2 Q^2,
+which is positive on [1, oo) once P and Q are, so it needs no certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import ClassVar, Optional
 
 from .algebra import Poly, RatFunc, Scalar, rat_str
 from .enclosure import RatInterval, fraction_normalized_euler_interval
-from .series import BoundSpec, log_gap_series
+from .series import BoundSpec, log_gap_series, lower_bound
 
 CERTIFICATE_FORMAT_VERSION = 1
 REFUTATION_WIDTH = Fraction(1, 10**40)
@@ -39,19 +42,15 @@ REFUTATION_GRID = tuple(Fraction(v) for v in
                         (1, Fraction(3, 2), 2, 3, 4, 5, 10, 100))
 
 
-class DenominatorSignUnknown(ArithmeticError):
-    """The denominator could not be certified positive on the ray."""
-
-
 @dataclass(frozen=True)
 class SignCertificate:
-    """Proof that a rational function keeps one sign on [base_point, oo).
+    """Proof that a polynomial keeps one sign on [base_point, oo).
 
-    The denominator is separately certified positive, so the claim reduces
-    to the numerator:  cleared_numerator = (x - base_point)^multiplicity *
-    shifted_poly(x - base_point) with every ``shifted_poly`` coefficient of
-    the claimed sign (or zero).  Strict sign holds for x > base_point, and
-    at the base point too when multiplicity is 0.
+    ``cleared_numerator`` is the certified polynomial:  it equals
+    (x - base_point)^multiplicity * shifted_poly(x - base_point) with every
+    ``shifted_poly`` coefficient of the claimed sign (or zero).  Strict sign
+    holds for x > base_point, and at the base point too when multiplicity
+    is 0.
     """
 
     base_point: Fraction
@@ -77,7 +76,7 @@ def _uniform_sign(p: Poly) -> Optional[int]:
     return sign or None
 
 
-def poly_sign_certificate(p: Poly, x0: Scalar) -> Optional[SignCertificate]:
+def sign_certificate(p: Poly, x0: Scalar) -> Optional[SignCertificate]:
     """Certify that p keeps one strict sign on (x0, oo) (weak at x0 only
     through the (x - x0)^m factor).  Returns None when the shifted
     coefficients have mixed signs; never returns a wrong certificate."""
@@ -92,19 +91,11 @@ def poly_sign_certificate(p: Poly, x0: Scalar) -> Optional[SignCertificate]:
     return SignCertificate(x0, sign, p, mult, shifted)
 
 
-def sign_certificate(h: RatFunc, x0: Scalar) -> Optional[SignCertificate]:
-    """Sign certificate for a rational function on [x0, oo).
-
-    The (canonical, positive-leading) denominator must first be certified
-    positive with no boundary root; otherwise DenominatorSignUnknown is
-    raised.  The returned certificate then speaks about the numerator.
-    """
-    x0 = Fraction(x0)
-    den_cert = poly_sign_certificate(h.den, x0)
-    if den_cert is None or den_cert.claimed_sign != 1 or den_cert.boundary_multiplicity:
-        raise DenominatorSignUnknown(
-            f"denominator not certifiably positive on [{x0}, oo)")
-    return poly_sign_certificate(h.num, x0)
+def _certified_positive(p: Poly, x0: Fraction) -> bool:
+    """p > 0 on the closed ray [x0, oo), by certificate."""
+    cert = sign_certificate(p, x0)
+    return (cert is not None and cert.claimed_sign == 1
+            and cert.boundary_multiplicity == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +110,7 @@ def log_gap_second_derivative(bound: BoundSpec) -> RatFunc:
     rational, so no transcendental terms survive."""
     x = Poly.x()
     base = RatFunc(Poly.constant(-1), x * (x + Poly.one()) ** 2)
-    u = bound.as_ratfunc()
+    u = RatFunc(*bound.polynomials())
     du = u.derivative()
     ddu = du.derivative()
     return base - (ddu * u - du * du) / (u * u)
@@ -203,20 +194,13 @@ def prove_bound(bound: BoundSpec, side: str) -> ProofReport:
     one = Fraction(1)
     h = log_gap_second_derivative(bound)
 
-    pos_cert = None
-    try:
-        pos_cert = sign_certificate(bound.as_ratfunc(), one)
-    except DenominatorSignUnknown:
-        pass
-    bound_positive = (pos_cert is not None and pos_cert.claimed_sign == 1
-                      and pos_cert.boundary_multiplicity == 0)
+    P, Q = bound.polynomials()
+    bound_positive = _certified_positive(P, one) and _certified_positive(Q, one)
 
-    certificate = None
-    if bound_positive:  # ln(bound) must exist before its curvature means anything
-        try:
-            certificate = sign_certificate(h, one)
-        except DenominatorSignUnknown:
-            certificate = None
+    # ln(bound) must exist before its curvature means anything.  Then
+    # h = -1/(x(x+1)^2) - (log P)'' + (log Q)'', so the monic h.den divides
+    # x (x+1)^2 P^2 Q^2, which has no root in [1, oo): h has the sign of h.num.
+    certificate = sign_certificate(h.num, one) if bound_positive else None
 
     order = max(2, bound.max_power())
     limit_ok = log_gap_series(bound, order)[0] == 0
@@ -283,11 +267,13 @@ def match_reference_polynomials(report: ProofReport) -> list[PolynomialMatch]:
 
     Entries: the bound's cleared numerator, the squared-denominator
     structure of the second derivative, and the second derivative's
-    shifted numerator.  The reference tables carry a positive overall
-    sign on the lower side and a negative one on the upper side, so the
-    sign of the cleared content is part of the match.
+    shifted numerator.  The tables follow the bound, not the side claimed:
+    the lower bound u is compared with the lower tables, every other bound
+    with the upper ones.  The lower tables carry a positive overall sign
+    and the upper tables a negative one, so the sign of the cleared content
+    is part of the match.
     """
-    if report.side == "lower":
+    if report.bound == lower_bound():
         ref_num = REFERENCE_LOWER_NUMERATOR
         ref_cert = REFERENCE_LOWER_CERT_NUMERATOR
         ref_sign = 1
@@ -296,7 +282,7 @@ def match_reference_polynomials(report: ProofReport) -> list[PolynomialMatch]:
         ref_cert = REFERENCE_UPPER_CERT_NUMERATOR
         ref_sign = -1
 
-    _, bound_num, _ = report.bound.as_ratfunc().primitive_parts()
+    bound_num = report.bound.polynomials()[0].primitive()
     content, shifted = report.second_derivative.num.shift(1).content_and_primitive()
     sign_ok = (content > 0) if ref_sign > 0 else (content < 0)
     return [

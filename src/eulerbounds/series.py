@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .algebra import Poly, RatFunc, Scalar, rat_str
+from .algebra import Poly, Scalar, rat_str
 
 
 class NonzeroConstantTerm(ValueError):
@@ -283,11 +283,6 @@ class BoundSpec:
         """(P, Q), bound = P/Q, integer coefficients, no factor cancelled."""
         return (Poly(p for p, _ in reversed(self._horner)),
                 Poly(q for _, q in reversed(self._horner)))
-
-    def as_ratfunc(self) -> RatFunc:
-        """The bound as one exact rational function of x: P/Q in lowest
-        terms."""
-        return RatFunc(*self.polynomials())
 
     def eval_pair(self, x: Scalar) -> tuple[int, int]:
         """Integers (num, den), den > 0, unreduced, with num/den the value at

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds.algebra import PoleError, Poly, RatFunc, poly_gcd, rat_str
+from eulerbounds.algebra import Poly, RatFunc, poly_gcd, rat_str
 
 X = Poly.x()
 
@@ -109,15 +109,8 @@ class TestRatFunc:
         assert r.derivative() == expected
 
     def test_second_derivative_of_constant_is_zero(self):
-        assert RatFunc.constant(F(7, 3)).derivative().derivative() == RatFunc.constant(0)
-
-    def test_eval(self):
-        r = RatFunc(P(F(5, 12), 1), P(F(11, 12), 1))
-        assert r.eval(1) == F(17, 23)
-
-    def test_eval_pole(self):
-        with pytest.raises(PoleError):
-            RatFunc(Poly.one(), X).eval(0)
+        seven_thirds = RatFunc(Poly.constant(F(7, 3)))
+        assert seven_thirds.derivative().derivative() == RatFunc(Poly.zero())
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -134,19 +127,12 @@ class TestRatFunc:
         blown = RatFunc(num * den, den * den)  # construct un-cancelled
         if den.eval(x) == 0:
             return
-        assert blown.eval(x) == num.eval(x) / den.eval(x)
+        assert blown.num.eval(x) / blown.den.eval(x) == num.eval(x) / den.eval(x)
 
     def test_normalization_idempotent(self):
         r = RatFunc(P(2, 4), P(0, 2))
         again = RatFunc(r.num, r.den)
         assert r == again and r.den.leading() == 1
-
-    def test_primitive_parts(self):
-        r = RatFunc(P(F(-2, 3), F(-4, 3)), P(0, 3))
-        scale, num, den = r.primitive_parts()
-        assert num == P(1, 2) and den == P(0, 1)
-        assert RatFunc(num * scale.numerator, den * scale.denominator) == r
-        assert scale < 0  # the sign lives in the scale
 
 
 class TestSerialization:

@@ -80,6 +80,20 @@ class TestCommands:
         code, out = run("prove", "--bound", "v", "--variant", "dedup")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("bound, side", [("u", "upper"), ("v", "lower")])
+    def test_prove_opposite_side_keeps_the_bound_tables(self, bound, side):
+        # the published tables belong to the bound, whatever side it is
+        # claimed for; both claims are refuted at x = 1
+        import json
+
+        code, out = run("prove", "--bound", bound, "--side", side)
+        assert code == EXIT_FAIL
+        assert "conclusion: refuted" in out
+        assert out.count(": match") == 3
+        code, out = run("prove", "--bound", bound, "--side", side, "--format", "json")
+        assert code == EXIT_FAIL
+        assert list(json.loads(out)["reference_matches"].values()) == [True] * 3
+
     def test_check_classic(self):
         code, out = run("check", "--target", "classic", "--n", "1..5")
         assert code == EXIT_OK

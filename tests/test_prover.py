@@ -11,10 +11,9 @@ from eulerbounds.prover import (REFERENCE_LOWER_CERT_NUMERATOR,
                                 REFERENCE_LOWER_NUMERATOR,
                                 REFERENCE_UPPER_CERT_NUMERATOR,
                                 REFERENCE_UPPER_NUMERATOR,
-                                DenominatorSignUnknown, conclusion_from_checks,
+                                conclusion_from_checks,
                                 log_gap_second_derivative,
-                                match_reference_polynomials,
-                                poly_sign_certificate, prove_bound,
+                                match_reference_polynomials, prove_bound,
                                 render_certificate, sign_certificate)
 from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound, expand_bound_gap,
                                lower_bound, upper_bound)
@@ -24,6 +23,19 @@ X = Poly.x()
 
 def P(*coeffs):
     return Poly(coeffs)
+
+
+def hierarchy_bound(K: int) -> BoundSpec:
+    """The bare bound with its gap series truncated after 1/x^K."""
+    bare = bare_optimal_bound()
+    gap = expand_bound_gap(bare, K)
+    return BoundSpec(bare.a, bare.b, [(gap[k], k) for k in range(1, K + 1)])
+
+
+# every bound the tests below prove or refute
+PROVED_OR_REFUTED = [lower_bound(), upper_bound(Variant.DEDUP),
+                     upper_bound(Variant.AS_WRITTEN), bare_optimal_bound(),
+                     *(hierarchy_bound(K) for K in range(5, 9)), BoundSpec(1, 1)]
 
 
 def to_sympy(r: RatFunc, x):
@@ -60,6 +72,16 @@ class TestLogGapSecondDerivative:
                   * REFERENCE_LOWER_NUMERATOR**2)
         assert (stated % h.den).is_zero
 
+    @pytest.mark.parametrize("bound", PROVED_OR_REFUTED, ids=lambda b: b.describe())
+    def test_denominator_divides_the_squared_polynomials(self, bound):
+        # the premise that lets prove_bound certify the numerator alone:
+        # once P, Q > 0 on [1, oo), no factor of x (x+1)^2 P^2 Q^2 has a
+        # root there, so neither has the monic h.den
+        h = log_gap_second_derivative(bound)
+        num, den = bound.polynomials()
+        assert h.den.leading() == 1
+        assert (X * P(1, 1) ** 2 * num**2 * den**2 % h.den).is_zero
+
     def test_denominator_structure_exactly(self):
         h = log_gap_second_derivative(lower_bound())
         target = X**2 * P(1, 1) ** 2 * P(11, 12) ** 2 * REFERENCE_LOWER_NUMERATOR**2
@@ -68,30 +90,30 @@ class TestLogGapSecondDerivative:
 
 class TestPolySignCertificate:
     def test_boundary_root_extracted(self):
-        cert = poly_sign_certificate(P(-1, 1), 1)  # x - 1 at base 1
+        cert = sign_certificate(P(-1, 1), 1)  # x - 1 at base 1
         assert cert.boundary_multiplicity == 1
         assert cert.shifted_poly == Poly.one()
         assert cert.claimed_sign == 1
 
     def test_negative_certificate(self):
-        cert = poly_sign_certificate(P(0, -1), 1)  # -x
+        cert = sign_certificate(P(0, -1), 1)  # -x
         assert cert.claimed_sign == -1 and cert.boundary_multiplicity == 0
 
     def test_sign_change_returns_none(self):
-        assert poly_sign_certificate(P(-3, 1) * P(-4, 1) * P(1, 1), 1) is None
+        assert sign_certificate(P(-3, 1) * P(-4, 1) * P(1, 1), 1) is None
 
     def test_mixed_shifted_signs_return_none(self):
         # (x-3)^2 + 1 is positive everywhere, but its shift to 1 is
         # y^2 - 4y + 5: the one proof form needs uniform signs
-        assert poly_sign_certificate(P(-3, 1) ** 2 + Poly.one(), 1) is None
+        assert sign_certificate(P(-3, 1) ** 2 + Poly.one(), 1) is None
 
     def test_zero_polynomial_not_certified(self):
-        assert poly_sign_certificate(Poly.zero(), 1) is None
+        assert sign_certificate(Poly.zero(), 1) is None
 
     def test_reconstruction_invariant(self):
         # cleared numerator == (x - x0)^mult * shifted(x - x0)
         for p in (P(-1, 1) ** 2 * P(1, 0, 3), P(5, 1) * P(2, 1)):
-            cert = poly_sign_certificate(p, 1)
+            cert = sign_certificate(p, 1)
             assert cert is not None
             rebuilt = (P(-1, 1) ** cert.boundary_multiplicity
                        * cert.shifted_poly.shift(-cert.base_point))
@@ -102,23 +124,30 @@ class TestPolySignCertificate:
         (log_gap_second_derivative(upper_bound(Variant.DEDUP)), F(1)),
     ])
     def test_certificate_soundness_at_random_points(self, h, base):
-        cert = sign_certificate(h, base)
+        # the numerator's certificate gives the sign of the whole of f''
+        cert = sign_certificate(h.num, base)
         assert cert is not None
         rng = random.Random(20260808)
         for _ in range(20):
             x = base + F(rng.randint(1, 10**6), 10**4)  # in (base, base+100]
-            value = h.eval(x)
+            value = h.num.eval(x) / h.den.eval(x)
             assert value != 0 and (value > 0) == (cert.claimed_sign > 0)
 
     def test_denominator_sign_unknown(self):
-        with pytest.raises(DenominatorSignUnknown):
-            sign_certificate(RatFunc(Poly.one(), P(-2, 1)), 1)  # pole at 2
+        # (x + 1/3)/(x - 2) has a pole at 2: its denominator gets no
+        # certificate, so the bound is not positive and nothing is proven
+        bound = BoundSpec(F(1, 3), -2)
+        assert sign_certificate(bound.polynomials()[1], 1) is None
+        report = prove_bound(bound, "upper")
+        assert not report.bound_positive and report.certificate is None
+        assert not report.proven
+        assert "bound-positive: no" in render_certificate(report)
 
 
 class TestCertifiedBounds:
     def test_lower_bound_certificate_shape(self):
         h = log_gap_second_derivative(lower_bound())
-        cert = sign_certificate(h, F(1))
+        cert = sign_certificate(h.num, F(1))
         assert cert.claimed_sign == 1
         assert cert.boundary_multiplicity == 0
         assert cert.shifted_poly.degree() == 10
@@ -126,7 +155,7 @@ class TestCertifiedBounds:
 
     def test_upper_bound_certificate_shape(self):
         h = log_gap_second_derivative(upper_bound(Variant.DEDUP))
-        cert = sign_certificate(h, F(1))
+        cert = sign_certificate(h.num, F(1))
         assert cert.claimed_sign == -1
         assert cert.shifted_poly.degree() == 11
         assert cert.shifted_poly.primitive() == REFERENCE_UPPER_CERT_NUMERATOR
@@ -145,11 +174,8 @@ class TestCertifiedBounds:
     def test_hierarchy_orders_proven(self):
         # truncating the bare bound's gap series after 1/x^K gives a lower
         # bound for odd K and an upper bound for even K
-        bare = bare_optimal_bound()
-        gap = expand_bound_gap(bare, 9)
         for K in range(5, 9):
-            bound = BoundSpec(bare.a, bare.b, [(gap[k], k) for k in range(1, K + 1)])
-            report = prove_bound(bound, "lower" if K % 2 else "upper")
+            report = prove_bound(hierarchy_bound(K), "lower" if K % 2 else "upper")
             assert report.proven, (K, report.conclusion)
 
     def test_refute_as_written_upper(self):
@@ -172,7 +198,7 @@ class TestCertifiedBounds:
 
     def test_conclusion_needs_all_three_premises(self):
         h = log_gap_second_derivative(lower_bound())
-        cert = sign_certificate(h, F(1))
+        cert = sign_certificate(h.num, F(1))
         assert conclusion_from_checks(1, cert, True, True)
         # convex certificate with a nonzero limit at infinity proves nothing
         assert not conclusion_from_checks(1, cert, True, False)
@@ -192,9 +218,17 @@ class TestReferenceMatching:
 
     def test_as_written_upper_matches_nothing(self):
         # adjudication: the published Q and B tables come from the
-        # single-correction form, not the doubled one
-        report = prove_bound(upper_bound(Variant.AS_WRITTEN), "upper")
-        assert all(not m.matches for m in match_reference_polynomials(report))
+        # single-correction form, not the doubled one, on either side
+        for side in ("upper", "lower"):
+            report = prove_bound(upper_bound(Variant.AS_WRITTEN), side)
+            assert all(not m.matches for m in match_reference_polynomials(report))
+
+    @pytest.mark.parametrize("bound, side", [(lower_bound(), "upper"),
+                                             (upper_bound(Variant.DEDUP), "lower")])
+    def test_tables_follow_the_bound_not_the_side(self, bound, side):
+        report = prove_bound(bound, side)
+        assert report.conclusion == "refuted"
+        assert all(m.matches for m in match_reference_polynomials(report))
 
     def test_reference_tables_have_expected_shape(self):
         assert REFERENCE_LOWER_NUMERATOR.degree() == 6

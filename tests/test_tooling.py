@@ -1,6 +1,7 @@
 """Repository checks: no floating point in the library, no public library
 code that only the tests use, no library module importing another's
-private names, and the benchmark tracer still finds every name it wraps."""
+private names, rational functions only in algebra and the prover, and the
+benchmark tracer still finds every name it wraps."""
 
 import ast
 import importlib.util
@@ -147,6 +148,14 @@ def test_reference_scan_sees_uses_outside_the_definition(tmp_path):
                      "print(lib.VALUE)\n")
     assert unreferenced_public_names([lib], [other]) == [
         "lib.py:only_recursive", "lib.py:Unused", "lib.py:dead_method", "lib.py:LIMIT"]
+
+
+def test_ratfunc_serves_only_the_prover():
+    # every proof obligation but f'' reads the bound's integer P and Q;
+    # the rational-function field stays behind algebra and the prover
+    users = {path.name for path in LIBRARY
+             if any(name == "RatFunc" for name, _ in name_uses(ast.parse(path.read_text())))}
+    assert users == {"algebra.py", "prover.py"}
 
 
 def load_tracer():
