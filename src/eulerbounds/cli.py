@@ -218,8 +218,8 @@ def cmd_expand(args, out) -> int:
         w = expand_relative_error(args.order)
         out.write("relative error expansion in t = 1/n over Q[a,b]\n")
         for k in range(1, args.order + 1):
-            triples = w[k].to_triples()
-            body = " + ".join(f"{c}*a^{i}*b^{j}" for i, j, c in triples) or "0"
+            body = " + ".join(f"{rat_str(c)}*a^{i}*b^{j}"
+                              for (i, j), c in sorted(w[k].items())) or "0"
             out.write(f"t^{k}: {body}\n")
         return EXIT_OK
     bound = _bound(args)

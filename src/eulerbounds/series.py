@@ -12,9 +12,9 @@ in-repo exact series calculus:
   rational bound, which is how the inverse-power correction terms of the
   certified bounds are obtained (and audited).
 
-A series of order T stores exactly T+1 rational coefficients; arithmetic
-never reads beyond the stored order.  An element of Q[a,b] is a read-only
-sparse map from exponent pairs to rationals (``ParamPoly``).
+A series of order T is the tuple of its T+1 rational coefficients; no
+routine reads beyond the stored order.  An element of Q[a,b] is a dict
+{(i, j): c} of the coefficients c of a^i b^j that are not zero.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .algebra import Poly, Scalar, rat_str
+
+Coeffs = tuple[Fraction, ...]
+ParamTerms = dict[tuple[int, int], Fraction]
 
 
 class NonzeroConstantTerm(ValueError):
@@ -37,180 +40,72 @@ class DegenerateSystem(ArithmeticError):
     """The optimal-parameter elimination failed to stay triangular."""
 
 
-class ParamPoly:
-    """Element of Q[a,b], read only: sparse sum of c_ij * a^i * b^j, no
-    stored zeros."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[tuple[int, int, Scalar]] = ()):
-        merged: dict[tuple[int, int], Fraction] = {}
-        for i, j, c in terms:
-            merged[i, j] = merged.get((i, j), Fraction(0)) + Fraction(c)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted((k, c) for k, c in merged.items() if c != 0)),
-        )
-
-    def __setattr__(self, *_):
-        raise AttributeError("ParamPoly is immutable")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ParamPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def subs(self, a: Scalar, b: Scalar) -> Fraction:
-        """Evaluate at concrete rational parameter values."""
-        a, b = Fraction(a), Fraction(b)
-        return sum((c * a**i * b**j for (i, j), c in self.terms), Fraction(0))
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        for (ti, tj), c in self.terms:
-            if (ti, tj) == (i, j):
-                return c
-        return Fraction(0)
-
-    def to_triples(self) -> list[tuple[int, int, str]]:
-        """Serialization: lexicographically sorted (i, j, 'p/q')."""
-        return [(i, j, rat_str(c)) for (i, j), c in self.terms]
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "ParamPoly(0)"
-        bits = []
-        for (i, j), c in self.terms:
-            mon = "".join(s for s, e in (("a^%d" % i, i), ("b^%d" % j, j)) if e)
-            bits.append(f"{c}*{mon}" if mon else str(c))
-        return "ParamPoly(" + " + ".join(bits) + ")"
-
-
-class Series:
-    """Power series in t over Q, truncated at a fixed order (inclusive)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs: Sequence[Fraction]):
-        coeffs = tuple(coeffs)
-        if not coeffs:
-            raise ValueError("series order must be >= 0")
-        object.__setattr__(self, "order", len(coeffs) - 1)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Series is immutable")
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Series):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Series({list(self.coeffs)!r})"
-
-    def __add__(self, other: "Series") -> "Series":
-        T = min(self.order, other.order)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(T + 1)])
-
-    def __neg__(self) -> "Series":
-        return Series([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
-
-    def __mul__(self, other: "Series") -> "Series":
-        T = min(self.order, other.order)
-        out = [Fraction(0)] * (T + 1)
-        for i in range(T + 1):
-            ci = self.coeffs[i]
-            if ci == 0:
-                continue
-            for j in range(T + 1 - i):
-                out[i + j] += ci * other.coeffs[j]
-        return Series(out)
-
-
 # ---------------------------------------------------------------------------
 # elementary series over Q
 # ---------------------------------------------------------------------------
 
 
-def series_log1p(order: int) -> Series:
+def series_log1p(order: int) -> Coeffs:
     """ln(1 + t) to the given order: coefficient of t^k is (-1)^(k+1)/k."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return Series([Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)])
+    return (Fraction(0),) + tuple(Fraction((-1) ** (k + 1), k) for k in range(1, order + 1))
 
 
-def xlog1p_minus_one_series(order: int) -> Series:
+def xlog1p_minus_one_series(order: int) -> Coeffs:
     """x ln(1 + 1/x) - 1 as a series in t = 1/x (constant term 0)."""
-    return Series([Fraction(0)] + [Fraction((-1) ** k, k + 1) for k in range(1, order + 1)])
+    return (Fraction(0),) + tuple(Fraction((-1) ** k, k + 1) for k in range(1, order + 1))
 
 
-def series_exp_compose(s: Series, order: int) -> Series:
-    """exp(s) truncated at ``order`` for a series with zero constant term.
+def series_exp_compose(s: Coeffs) -> Coeffs:
+    """exp(s), to the order of s, for a series with zero constant term.
 
     Uses the derivative recurrence e_n = (1/n) sum_k k s_k e_{n-k}; the
     brute-force sum of powers s^j / j! is kept in the tests as the
     independent oracle.
     """
-    if s.coeffs[0] != 0:
+    if s[0] != 0:
         raise NonzeroConstantTerm("exp composition needs constant term 0")
-    if order > s.order:
-        raise ValueError("requested order exceeds the input series order")
-    src = s.coeffs
     out = [Fraction(1)]
-    for n in range(1, order + 1):
+    for n in range(1, len(s)):
         acc = Fraction(0)
         for k in range(1, n + 1):
-            sk = src[k]
+            sk = s[k]
             if sk:
                 acc += (sk * k) * out[n - k]
         out.append(acc / n)
-    return Series(out)
+    return tuple(out)
 
 
-def series_inverse(s: Series) -> Series:
+def series_inverse(s: Coeffs) -> Coeffs:
     """1/s for a rational series with nonzero constant term."""
-    c0 = s.coeffs[0]
+    c0 = s[0]
     if c0 == 0:
         raise NonzeroConstantTerm("cannot invert a series with constant term 0")
     inv0 = 1 / c0
     out = [inv0]
-    for n in range(1, s.order + 1):
+    for n in range(1, len(s)):
         acc = Fraction(0)
         for k in range(1, n + 1):
-            acc += s.coeffs[k] * out[n - k]
+            acc += s[k] * out[n - k]
         out.append(-inv0 * acc)
-    return Series(out)
+    return tuple(out)
 
 
-def series_log(s: Series) -> Series:
+def series_log(s: Coeffs) -> Coeffs:
     """ln(s) for a rational series with constant term exactly 1."""
-    if s.coeffs[0] != 1:
+    if s[0] != 1:
         raise NonzeroConstantTerm("log composition needs constant term 1")
     inv = series_inverse(s)
     out = [Fraction(0)]
-    if s.order == 0:
-        return Series(out)
     # L' = s'/s, integrated termwise.
-    deriv = [(k + 1) * s.coeffs[k + 1] for k in range(s.order)]
-    for n in range(1, s.order + 1):
+    deriv = [k * s[k] for k in range(1, len(s))]
+    for n in range(1, len(s)):
         acc = Fraction(0)
         for k in range(n):
-            acc += deriv[k] * inv.coeffs[n - 1 - k]
+            acc += deriv[k] * inv[n - 1 - k]
         out.append(acc / n)
-    return Series(out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +200,7 @@ class BoundSpec:
         """The exact value at x, in lowest terms."""
         return Fraction(*self.eval_pair(x))
 
-    def series(self, order: int) -> Series:
+    def series(self, order: int) -> Coeffs:
         """Asymptotic expansion of the bound in t = 1/x.
 
         (x+a)/(x+b) = (1+at)/(1+bt) has the closed form coefficients
@@ -317,10 +212,11 @@ class BoundSpec:
         for c, k in self.corrections:
             if k <= order:
                 coeffs[k] += c
-        return Series(coeffs)
+        return tuple(coeffs)
 
     def describe(self) -> str:
-        parts = [f"(x+{rat_str(self.a)})/(x+{rat_str(self.b)})"]
+        a, b = (f"{'-' if v < 0 else '+'}{rat_str(abs(v))}" for v in (self.a, self.b))
+        parts = [f"(x{a})/(x{b})"]
         for c, k in self.corrections:
             parts.append(f"{'+' if c > 0 else '-'} {rat_str(abs(c))}/x^{k}")
         return " ".join(parts)
@@ -366,25 +262,30 @@ def upper_bound(variant: Variant = Variant.DEDUP) -> BoundSpec:
 # ---------------------------------------------------------------------------
 
 
-def euler_ratio_series(order: int) -> Series:
+def euler_ratio_series(order: int) -> Coeffs:
     """(1/e)(1+1/x)^x as a series in t = 1/x: exp(x ln(1+1/x) - 1)."""
-    return series_exp_compose(xlog1p_minus_one_series(order), order)
+    return series_exp_compose(xlog1p_minus_one_series(order))
 
 
-def expand_bound_gap(bound: BoundSpec, order: int) -> Series:
+def _minus(s: Coeffs, r: Coeffs) -> Coeffs:
+    """s - r for two series of the same order."""
+    return tuple(p - q for p, q in zip(s, r))
+
+
+def expand_bound_gap(bound: BoundSpec, order: int) -> Coeffs:
     """Series of (1/e)(1+1/x)^x - bound(x) in t = 1/x."""
     if order < bound.max_power():
         raise ValueError("order must cover every correction power")
-    return euler_ratio_series(order) - bound.series(order)
+    return _minus(euler_ratio_series(order), bound.series(order))
 
 
-def log_gap_series(bound: BoundSpec, order: int) -> Series:
+def log_gap_series(bound: BoundSpec, order: int) -> Coeffs:
     """Series of x ln(1+1/x) - 1 - ln(bound(x)); constant term 0 exactly
     when the bound tends to 1 at infinity (true for every BoundSpec)."""
-    return xlog1p_minus_one_series(order) - series_log(bound.series(order))
+    return _minus(xlog1p_minus_one_series(order), series_log(bound.series(order)))
 
 
-def expand_relative_error(order: int) -> tuple[ParamPoly, ...]:
+def expand_relative_error(order: int) -> tuple[ParamTerms, ...]:
     """Coefficients of t^0..t^order of x ln(1+1/x) - 1 - ln((x+a)/(x+b))
     over Q[a,b].
 
@@ -395,9 +296,8 @@ def expand_relative_error(order: int) -> tuple[ParamPoly, ...]:
     if order < 3:
         raise ValueError("order must be >= 3")
     base, log1p = xlog1p_minus_one_series(order), series_log1p(order)
-    return (ParamPoly(),) + tuple(
-        ParamPoly([(0, 0, base[k]), (k, 0, -log1p[k]), (0, k, log1p[k])])
-        for k in range(1, order + 1))
+    return ({},) + tuple({(0, 0): base[k], (0, k): log1p[k], (k, 0): -log1p[k]}
+                         for k in range(1, order + 1))
 
 
 class OptimalParams(NamedTuple):
@@ -406,10 +306,16 @@ class OptimalParams(NamedTuple):
     residual_third_coefficient: Fraction
 
 
-def _as_univariate_in_a(p: ParamPoly, b_poly: Poly) -> Poly:
+def eval_terms(p: ParamTerms, a: Scalar, b: Scalar) -> Fraction:
+    """The value of p at concrete rational parameters a, b."""
+    a, b = Fraction(a), Fraction(b)
+    return sum((c * a**i * b**j for (i, j), c in p.items()), Fraction(0))
+
+
+def _as_univariate_in_a(p: ParamTerms, b_poly: Poly) -> Poly:
     """Substitute b -> b_poly(a) into p, returning a polynomial in a."""
     out = Poly.zero()
-    for (i, j), c in p.terms:
+    for (i, j), c in p.items():
         out = out + (Poly.x() ** i) * (b_poly ** j) * c
     return out
 
@@ -425,10 +331,8 @@ def solve_optimal_params() -> OptimalParams:
     w = expand_relative_error(3)
     c1, c2, c3 = w[1], w[2], w[3]
     # c1 = alpha*a + beta*b + gamma must be linear with beta != 0
-    alpha = c1.coefficient(1, 0)
-    beta = c1.coefficient(0, 1)
-    gamma = c1.coefficient(0, 0)
-    if beta == 0 or c1 != ParamPoly([(1, 0, alpha), (0, 1, beta), (0, 0, gamma)]):
+    alpha, beta, gamma = (c1.get(key, Fraction(0)) for key in ((1, 0), (0, 1), (0, 0)))
+    if beta == 0 or set(c1) - {(1, 0), (0, 1), (0, 0)}:
         raise DegenerateSystem("leading error coefficient is not linear in (a, b)")
     # b expressed as a polynomial in a
     b_of_a = Poly((-gamma / beta, -alpha / beta))
@@ -440,4 +344,4 @@ def solve_optimal_params() -> OptimalParams:
     if a <= 0:
         raise DegenerateSystem(f"the root a = {a} is not admissible")
     b = b_of_a.eval(a)
-    return OptimalParams(a, b, c3.subs(a, b))
+    return OptimalParams(a, b, eval_terms(c3, a, b))

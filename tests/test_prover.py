@@ -190,6 +190,15 @@ class TestCertifiedBounds:
         report = prove_bound(lower_bound(), "upper")
         assert report.conclusion == "refuted" and report.refutation.x == 1
 
+    def test_refutation_search_skips_poles(self):
+        # (x + 1/3)/(x - 2) has a pole on the grid at x = 2; the search
+        # passes over it and finds the next grid point above the curve
+        report = prove_bound(BoundSpec(F(1, 3), -2), "lower")
+        assert report.conclusion == "refuted" and report.refutation.x == 3
+        # x/(x - 1) has its pole at the first grid point, x = 1
+        for side in ("lower", "upper"):
+            assert prove_bound(BoundSpec(0, -1), side).conclusion in ("refuted", "inconclusive")
+
     def test_inconclusive_when_no_witness_found(self, monkeypatch):
         import eulerbounds.prover as prover
         monkeypatch.setattr(prover, "REFUTATION_GRID", ())

@@ -10,82 +10,84 @@ from hypothesis import strategies as st
 from eulerbounds import series
 from eulerbounds.algebra import Poly, RatFunc
 from eulerbounds.series import (BoundSpec, DegenerateSystem,
-                                NonzeroConstantTerm, ParamPoly,
-                                Series, Variant, bare_optimal_bound,
-                                euler_ratio_series, expand_bound_gap,
+                                NonzeroConstantTerm, Variant,
+                                bare_optimal_bound, euler_ratio_series,
+                                eval_terms, expand_bound_gap,
                                 expand_relative_error, log_gap_series,
                                 lower_bound, series_exp_compose, series_log,
                                 series_log1p, solve_optimal_params,
                                 upper_bound, xlog1p_minus_one_series)
 
 
-def brute_force_exp(s: Series, order: int) -> Series:
-    """Independent oracle: exp(s) = sum s^j / j!, truncated."""
+def brute_force_exp(s: tuple) -> tuple:
+    """Independent oracle: exp(s) = sum s^j / j!, truncated at the order of s."""
+    order = len(s) - 1
     out = [F(0)] * (order + 1)
     out[0] = F(1)
-    power = Series([F(1)] + [F(0)] * order)
+    power = [F(1)] + [F(0)] * order
     factorial = 1
     for j in range(1, order + 1):
-        power = power * s
+        # power *= s, truncated
+        power = [sum((power[i] * s[k - i] for i in range(k + 1)), F(0))
+                 for k in range(order + 1)]
         factorial *= j
         for k in range(order + 1):
             out[k] += power[k] / factorial
-    return Series(out)
+    return tuple(out)
 
 
 class TestElementarySeries:
     def test_log1p_first_orders(self):
-        assert series_log1p(3) == Series([F(0), F(1), F(-1, 2), F(1, 3)])
+        assert series_log1p(3) == (F(0), F(1), F(-1, 2), F(1, 3))
 
     def test_log1p_named_coefficients(self):
         s = series_log1p(6)
         assert s[1] == 1 and s[6] == F(-1, 6)
 
     def test_exp_of_zero(self):
-        assert series_exp_compose(Series([F(0)] * 3), 2) == Series([F(1), F(0), F(0)])
+        assert series_exp_compose((F(0),) * 3) == (F(1), F(0), F(0))
 
     def test_exp_of_t(self):
-        t = Series([F(0), F(1), F(0)])
-        assert series_exp_compose(t, 2) == Series([F(1), F(1), F(1, 2)])
+        assert series_exp_compose((F(0), F(1), F(0))) == (F(1), F(1), F(1, 2))
 
     def test_exp_rejects_constant_term(self):
         with pytest.raises(NonzeroConstantTerm):
-            series_exp_compose(Series([F(1), F(1)]), 1)
+            series_exp_compose((F(1), F(1)))
 
     def test_euler_ratio_leading_terms(self):
         # independently derived with the brute-force oracle
-        oracle = brute_force_exp(xlog1p_minus_one_series(2), 2)
-        assert oracle == Series([F(1), F(-1, 2), F(11, 24)])
+        oracle = brute_force_exp(xlog1p_minus_one_series(2))
+        assert oracle == (F(1), F(-1, 2), F(11, 24))
         assert euler_ratio_series(2) == oracle
 
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8),
                     min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_exp_recurrence_matches_brute_force(self, tail):
-        s = Series([F(0)] + tail)
-        assert series_exp_compose(s, s.order) == brute_force_exp(s, s.order)
+        s = (F(0), *tail)
+        assert series_exp_compose(s) == brute_force_exp(s)
 
     @pytest.mark.parametrize("order", range(1, 13))
     def test_exp_log_identity(self, order):
         # exp(ln(1+t)) == 1 + t at every computed order
-        expected = Series([F(1), F(1)] + [F(0)] * (order - 1))
-        assert series_exp_compose(series_log1p(order), order) == expected
+        expected = (F(1), F(1)) + (F(0),) * (order - 1)
+        assert series_exp_compose(series_log1p(order)) == expected
 
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=8),
                     min_size=0, max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_log_inverts_exp(self, tail):
-        s = Series([F(0)] + tail)
-        assert series_log(series_exp_compose(s, s.order)) == s
+        s = (F(0), *tail)
+        assert series_log(series_exp_compose(s)) == s
 
 
 class TestRelativeErrorExpansion:
     def test_first_three_coefficients(self):
         w = expand_relative_error(3)
-        assert w[0] == ParamPoly()
-        assert w[1] == ParamPoly([(1, 0, -1), (0, 1, 1), (0, 0, F(-1, 2))])
-        assert w[2] == ParamPoly([(2, 0, F(1, 2)), (0, 2, F(-1, 2)), (0, 0, F(1, 3))])
-        assert w[3] == ParamPoly([(0, 3, F(1, 3)), (3, 0, F(-1, 3)), (0, 0, F(-1, 4))])
+        assert w[0] == {}
+        assert w[1] == {(1, 0): -1, (0, 1): 1, (0, 0): F(-1, 2)}
+        assert w[2] == {(2, 0): F(1, 2), (0, 2): F(-1, 2), (0, 0): F(1, 3)}
+        assert w[3] == {(0, 3): F(1, 3), (3, 0): F(-1, 3), (0, 0): F(-1, 4)}
 
     def test_closed_form_matches_sympy(self):
         # independent oracle: the same error, x ln(1+1/x) - 1 - ln((x+a)/(x+b))
@@ -97,21 +99,20 @@ class TestRelativeErrorExpansion:
         assert len(w) == 11
         for k in range(11):
             coeff = sp.Poly(expansion.coeff(t, k), a, b)
-            expected = ParamPoly([(i, j, F(int(c.p), int(c.q)))
-                                  for (i, j), c in coeff.terms()])
+            expected = {(i, j): F(int(c.p), int(c.q)) for (i, j), c in coeff.terms() if c}
             assert w[k] == expected, k
 
     def test_vanishing_at_the_optimum(self):
         w = expand_relative_error(3)
-        assert w[1].subs(F(5, 12), F(11, 12)) == 0
-        assert w[2].subs(F(5, 12), F(11, 12)) == 0
-        assert w[3].subs(F(5, 12), F(11, 12)) == F(-5, 288)
+        assert eval_terms(w[1], F(5, 12), F(11, 12)) == 0
+        assert eval_terms(w[2], F(5, 12), F(11, 12)) == 0
+        assert eval_terms(w[3], F(5, 12), F(11, 12)) == F(-5, 288)
 
     def test_equal_parameters_leave_the_leading_term(self):
         # a == b degenerates the approximant to the constant 1
         w = expand_relative_error(3)
         for value in (F(0), F(1, 2), F(3)):
-            assert w[1].subs(value, value) == F(-1, 2)
+            assert eval_terms(w[1], value, value) == F(-1, 2)
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
@@ -124,14 +125,24 @@ class TestOptimalParams:
         assert (got.a, got.b) == (F(5, 12), F(11, 12))
         assert got.residual_third_coefficient == F(-5, 288)
 
-    @pytest.mark.parametrize("c2", [[(2, 0, 1), (0, 0, F(-1, 4))], [(0, 0, 1)]],
+    @pytest.mark.parametrize("c2", [{(2, 0): F(1), (0, 0): F(-1, 4)}, {(0, 0): F(1)}],
                              ids=["quadratic", "constant"])
     def test_reduced_degree_other_than_one_is_degenerate(self, monkeypatch, c2):
         # c1 = a - b + 1/2 eliminates to b = a + 1/2, as in the real system;
         # c2 then reduces to a^2 - 1/4 (root 1/2 > 0) or to a constant
-        system = (ParamPoly(), ParamPoly([(1, 0, 1), (0, 1, -1), (0, 0, F(1, 2))]),
-                  ParamPoly(c2), ParamPoly())
+        system = ({}, {(1, 0): F(1), (0, 1): F(-1), (0, 0): F(1, 2)}, c2, {})
         monkeypatch.setattr(series, "expand_relative_error", lambda order: system)
+        with pytest.raises(DegenerateSystem):
+            solve_optimal_params()
+
+    @pytest.mark.parametrize("c1, c2", [
+        ({(1, 0): F(1), (0, 1): F(-1), (1, 1): F(1)}, {(1, 0): F(1)}),
+        ({(1, 0): F(1), (0, 0): F(1, 2)}, {(0, 1): F(1)}),
+        ({(1, 0): F(1), (0, 1): F(-1)}, {(1, 0): F(1), (0, 0): F(1)}),
+    ], ids=["nonlinear", "no-b", "negative-root"])
+    def test_other_degenerate_systems(self, monkeypatch, c1, c2):
+        # c1 with an a*b term; c1 free of b; c2 reducing to a + 1 (root -1)
+        monkeypatch.setattr(series, "expand_relative_error", lambda order: ({}, c1, c2, {}))
         with pytest.raises(DegenerateSystem):
             solve_optimal_params()
 
@@ -167,6 +178,11 @@ ANY_BOUND = st.builds(
 
 
 class TestBoundSpec:
+    def test_describe_signs_every_parameter(self):
+        assert lower_bound().describe().startswith("(x+5/12)/(x+11/12) - 5/288/x^3")
+        assert BoundSpec(F(1, 3), -2, [(F(-1, 2), 1)]).describe() == "(x+1/3)/(x-2/1) - 1/2/x^1"
+        assert BoundSpec(F(-3, 4), 0).describe() == "(x-3/4)/(x+0/1)"
+
     def test_corrections_canonicalized(self):
         b = BoundSpec(F(5, 12), F(11, 12), [(F(1, 4), 5), (F(-1, 3), 3), (F(1, 4), 5)])
         assert b.corrections == ((F(-1, 3), 3), (F(1, 2), 5))
@@ -220,7 +236,7 @@ class TestBoundSpec:
 
     def test_series_truncates_corrections_exactly(self):
         b = lower_bound()
-        assert b.series(2) == Series([F(1), F(-1, 2), F(11, 24)])
+        assert b.series(2) == (F(1), F(-1, 2), F(11, 24))
 
 
 class TestBoundGap:
@@ -272,12 +288,21 @@ class TestBoundGap:
         bound = BoundSpec(a, a + F(1, 2), corrections)
         assert log_gap_series(bound, 6)[0] == 0
 
-
-class TestParamPoly:
-    def test_serialization_sorted(self):
-        p = ParamPoly([(0, 1, 2), (1, 0, -1), (0, 0, F(1, 3))])
-        assert p.to_triples() == [(0, 0, "1/3"), (0, 1, "2/1"), (1, 0, "-1/1")]
-
-    def test_zero_terms_dropped(self):
-        assert ParamPoly([(1, 0, 1), (1, 0, -1)]).terms == ()
-        assert ParamPoly([(1, 0, 1), (1, 0, -1)]) == ParamPoly([(0, 0, 0)])
+    @pytest.mark.parametrize("bound", [bare_optimal_bound(), lower_bound(),
+                                       upper_bound(Variant.AS_WRITTEN),
+                                       upper_bound(Variant.DEDUP)],
+                             ids=["bare", "u", "v-as-written", "v-dedup"])
+    def test_log_gap_matches_sympy(self, bound):
+        # independent oracle: x ln(1+1/x) - 1 - ln(bound(x)) at x = 1/t,
+        # expanded by sympy through t^8
+        t = sp.symbols("t")
+        a, b = (sp.Rational(v.numerator, v.denominator) for v in (bound.a, bound.b))
+        value = (1 + a * t) / (1 + b * t) + sum(
+            sp.Rational(c.numerator, c.denominator) * t**k for c, k in bound.corrections)
+        error = sp.log(1 + t) / t - 1 - sp.log(value)
+        expansion = sp.series(error, t, 0, 9).removeO()
+        got = log_gap_series(bound, 8)
+        assert len(got) == 9
+        for k in range(9):
+            c = expansion.coeff(t, k)
+            assert got[k] == F(int(c.p), int(c.q)), k
