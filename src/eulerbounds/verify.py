@@ -4,10 +4,18 @@ Each check is a pure function returning (ok, detail); ``run_all`` prints
 one deterministic PASS/FAIL line per check so repeated runs are
 byte-identical.  The checks mirror the library's test suite, packaged so
 the command line can run the whole gate in one shot.
+
+As the checks are pure and independent, ``run_all`` may run them at once
+in forked child processes.  Either way its output, and the error that
+stops a run, follow the order of ``ALL_CHECKS``.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import threading
 from fractions import Fraction
 from typing import Callable, TextIO
 
@@ -197,13 +205,86 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]]], ...] = (
 )
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_check(fn: Callable[[], tuple[bool, str]]) -> tuple[int, int]:
+    """Fork a child that runs ``fn``, writes its (ok, detail) to a pipe as
+    JSON and exits; return the child's pid and the pipe's read end.
+
+    The child leaves by ``os._exit``, so it runs none of the parent's
+    clean-up and flushes none of its buffers, and a check that raises
+    there writes nothing, not even a traceback.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "w", encoding="utf-8") as pipe:
+                json.dump(fn(), pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _child_result(fd: int) -> tuple[bool, str] | None:
+    """What a child wrote to its pipe, or None if it ended without a result."""
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    try:
+        ok, detail = json.loads(data)
+    except ValueError:
+        return None
+    return ok, detail
+
+
 def run_all(stream: TextIO) -> bool:
-    """Run every check, print one line per check, return overall success."""
-    all_ok = True
-    for name, fn in ALL_CHECKS:
-        ok, detail = fn()
-        all_ok &= ok
-        stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+    """Run every check, print one line per check, return overall success.
+
+    When fork exists, the process may use more than one CPU and no other
+    thread is alive, each check runs in a child of its own, all at once;
+    otherwise they run here, one after another.  The lines are written in
+    ``ALL_CHECKS`` order either way.  A check whose child ended without a
+    result is run again here, so an error it raises, and which error ends
+    the run, are the same as in a run without children.  Every child is
+    reaped before this returns or raises.
+    """
+    children: list[tuple[int, int]] = []
+    try:
+        # fork copies only the calling thread: a lock that another thread
+        # held would stay locked in the child
+        if hasattr(os, "fork") and usable_cpus() > 1 and threading.active_count() == 1:
+            for _, fn in ALL_CHECKS:
+                try:
+                    children.append(_fork_check(fn))
+                except OSError:  # out of processes or descriptors: the rest run here
+                    break
+        all_ok = True
+        for i, (name, fn) in enumerate(ALL_CHECKS):
+            result = _child_result(children[i][1]) if i < len(children) else None
+            ok, detail = fn() if result is None else result
+            all_ok &= ok
+            stream.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
+    finally:
+        # a child still running (this run was interrupted) is killed; the
+        # others have closed their pipes and are exiting
+        for pid, fd in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     stream.write(f"{'ALL CHECKS PASSED' if all_ok else 'CHECKS FAILED'} "
                  f"({len(ALL_CHECKS)} checks)\n")
     return all_ok

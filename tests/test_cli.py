@@ -336,6 +336,14 @@ def test_only_the_csv_formats_load_csv():
     assert fresh_python("-c", code).stdout == "False True\n"
 
 
+def test_verify_all_loads_no_process_pool_or_pickle():
+    code = ("import io, sys; from eulerbounds import cli, verify; "
+            "verify.usable_cpus = lambda: 2; "
+            "print(cli.main(['verify-all'], out=io.StringIO()), *[m for m in "
+            "('multiprocessing', 'concurrent.futures', 'pickle') if m in sys.modules])")
+    assert fresh_python("-c", code).stdout == "0\n"
+
+
 def loaded_package_modules(code: str) -> list[str]:
     """The eulerbounds modules a new interpreter holds after running ``code``."""
     proc = fresh_python("-c", code + "; import sys; print(*sorted(m for m in sys.modules "
