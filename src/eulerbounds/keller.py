@@ -16,6 +16,7 @@ rigorous numeric convergence tables for containment in the sandwich.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -45,27 +46,35 @@ def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> RatInte
 # ---------------------------------------------------------------------------
 
 
-def _sandwich_sides(variant: Variant) -> list[tuple[Poly, Poly]]:
+# Cached: convergence_table evaluates the pairs on every row.
+@functools.cache
+def _sandwich_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
     """Unreduced (N, D) of the lower and the upper side: from the bounds'
     integer polynomials a = P_a/Q_a, b = P_b/Q_b, the side (n+1) a(n) - n b(n-1)
     is ((n+1) P_a Q_b(n-1) - n P_b(n-1) Q_a) / (Q_a Q_b(n-1))."""
     u, v = lower_bound().polynomials(), upper_bound(variant).polynomials()
     n1, n = Poly((1, 1)), Poly.x()
-    return [(n1 * p_a * q_b.shift(-1) - n * p_b.shift(-1) * q_a, q_a * q_b.shift(-1))
-            for (p_a, q_a), (p_b, q_b) in ((u, v), (v, u))]
+    return tuple((n1 * p_a * q_b.shift(-1) - n * p_b.shift(-1) * q_a, q_a * q_b.shift(-1))
+                 for (p_a, q_a), (p_b, q_b) in ((u, v), (v, u)))
 
 
 def sandwich_bounds(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
     """Exact rational sandwich values (lower, upper) at integer n >= 2."""
     if n < 2:
         raise ValueError("the sandwich needs n >= 2 (it evaluates the bounds at n-1)")
-    u = lower_bound()
-    v = upper_bound(variant)
-    low = (n + 1) * u.eval(n) - n * v.eval(n - 1)
-    high = (n + 1) * v.eval(n) - n * u.eval(n - 1)
+    low, high = (Fraction(_integer_horner(num, n), _integer_horner(den, n))
+                 for num, den in _sandwich_sides(variant))
     if not low < high:
         raise ArithmeticError(f"sandwich sides out of order at n={n}")
     return low, high
+
+
+def _integer_horner(p: Poly, n: int) -> int:
+    """p(n) in integers: a side's N and D have integer coefficients."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * n + c.numerator
+    return acc
 
 
 def _leading_ratio(num: Poly, den: Poly) -> Fraction:

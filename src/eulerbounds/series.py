@@ -9,8 +9,8 @@ in-repo exact series calculus:
 * ``solve_optimal_params`` kills the two leading coefficients and returns
   the unique admissible parameters (5/12, 11/12),
 * ``expand_bound_gap`` expands  (1/e)(1+1/x)^x - bound(x)  for a candidate
-  rational bound, which is how the inverse-power correction terms of the
-  certified bounds are obtained (and audited).
+  rational bound; ``truncated_bound`` appends the bare approximant's gap
+  coefficients to it as corrections, which derives the certified bounds.
 
 A series of order T is the tuple of its T+1 rational coefficients; no
 routine reads beyond the stored order.  An element of Q[a,b] is a dict
@@ -77,33 +77,17 @@ def series_exp_compose(s: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def series_inverse(s: Coeffs) -> Coeffs:
-    """1/s for a rational series with nonzero constant term."""
-    c0 = s[0]
-    if c0 == 0:
-        raise NonzeroConstantTerm("cannot invert a series with constant term 0")
-    inv0 = 1 / c0
-    out = [inv0]
-    for n in range(1, len(s)):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += s[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return tuple(out)
-
-
 def series_log(s: Coeffs) -> Coeffs:
-    """ln(s) for a rational series with constant term exactly 1."""
+    """ln(s), to the order of s, for a series with constant term exactly 1:
+    the mirror of ``series_exp_compose``, since L = ln(s) solves s L' = s',
+    n L_n = n s_n - sum_{0<k<n} k L_k s_{n-k}."""
     if s[0] != 1:
         raise NonzeroConstantTerm("log composition needs constant term 1")
-    inv = series_inverse(s)
     out = [Fraction(0)]
-    # L' = s'/s, integrated termwise.
-    deriv = [k * s[k] for k in range(1, len(s))]
     for n in range(1, len(s)):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += deriv[k] * inv[n - 1 - k]
+        acc = n * s[n]
+        for k in range(1, n):
+            acc -= (out[k] * k) * s[n - k]
         out.append(acc / n)
     return tuple(out)
 
@@ -222,39 +206,39 @@ class BoundSpec:
         return " ".join(parts)
 
 
-# the certified bounds, with the corrections equal to the leading
-# coefficients of the bound gap (asserted by expand_bound_gap in the tests)
-GAP_COEFF_3 = Fraction(-5, 288)
-GAP_COEFF_4 = Fraction(343, 8640)
-GAP_COEFF_5 = Fraction(-2621, 41472)
-GAP_COEFF_6 = Fraction(300901, 3483648)
-
-OPTIMAL_A = Fraction(5, 12)
-OPTIMAL_B = Fraction(11, 12)
-
-
+# the certified bounds: truncations of the bare approximant's gap series.
 # Cached: a BoundSpec is frozen, so every caller can share one instance.
 @functools.cache
+def truncated_bound(order: int) -> BoundSpec:
+    """The optimal approximant (x+a)/(x+b) of ``solve_optimal_params`` plus
+    c_k/x^k for each k <= order, c_k the t^k coefficient of its bound gap.
+
+    The gap's t and t^2 coefficients vanish, so order 2 is the bare
+    approximant; orders 5 and 6 are the certified lower and upper bounds.
+    """
+    a, b, _ = solve_optimal_params()
+    gap = expand_bound_gap(BoundSpec(a, b), order)
+    return BoundSpec(a, b, [(gap[k], k) for k in range(1, order + 1)])
+
+
 def bare_optimal_bound() -> BoundSpec:
     """(x + 5/12)/(x + 11/12) with no inverse-power corrections."""
-    return BoundSpec(OPTIMAL_A, OPTIMAL_B)
+    return truncated_bound(2)
 
 
-@functools.cache
 def lower_bound() -> BoundSpec:
     """The certified lower bound: corrections through 1/x^5."""
-    return BoundSpec(OPTIMAL_A, OPTIMAL_B,
-                     [(GAP_COEFF_3, 3), (GAP_COEFF_4, 4), (GAP_COEFF_5, 5)])
+    return truncated_bound(5)
 
 
 @functools.cache
 def upper_bound(variant: Variant = Variant.DEDUP) -> BoundSpec:
-    """The upper bound; AS_WRITTEN doubles the 1/x^5 correction."""
-    corr = [(GAP_COEFF_3, 3), (GAP_COEFF_4, 4), (GAP_COEFF_5, 5),
-            (GAP_COEFF_6, 6)]
-    if variant is Variant.AS_WRITTEN:
-        corr.append((GAP_COEFF_5, 5))
-    return BoundSpec(OPTIMAL_A, OPTIMAL_B, corr)
+    """The certified upper bound, order 6; AS_WRITTEN counts 1/x^5 twice."""
+    bound = truncated_bound(6)
+    if variant is Variant.DEDUP:
+        return bound
+    fifth = [(c, k) for c, k in bound.corrections if k == 5]
+    return BoundSpec(bound.a, bound.b, bound.corrections + tuple(fifth))
 
 
 # ---------------------------------------------------------------------------

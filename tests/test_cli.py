@@ -1,5 +1,6 @@
 """Command line behaviour: dispatch, exit codes, formats, determinism."""
 
+import hashlib
 import importlib
 import io
 import os
@@ -297,6 +298,38 @@ class TestCarlemanBytes:
         assert lhs.hi <= rhs.lo
 
 
+class TestProveBytes:
+    """The prove invocations that no golden covers, pinned by the SHA-256
+    of their stdout and their exit code."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (("--bound", "bare", "--format", "json"), EXIT_OK,
+         "706d336837c81edede320952169d742f380a486ebe61c663d84fba7e4c237def"),
+        (("--bound", "bare", "--side", "lower"), EXIT_FAIL,
+         "5a75b25a9bc3846aecdf6470ef33030b56a799eddb1132b55c0c37db1271c06a"),
+        (("--bound", "bare", "--side", "lower", "--format", "json"), EXIT_FAIL,
+         "c65daca5ada6e23c0c446b3f6a19e73d9caa6bf9eb3e4fcc524ac0ae18a90f9a"),
+        (("--bound", "u", "--side", "upper"), EXIT_FAIL,
+         "2c6ea1de48463311513698dc19268ba424b4530d77081ea5395602dd50597b13"),
+        (("--bound", "u", "--side", "upper", "--format", "json"), EXIT_FAIL,
+         "7e6aec6182af2a6a1fb568af452cc9dafe555f382fd00d494f95c0416f88e45d"),
+        (("--bound", "v", "--side", "lower"), EXIT_FAIL,
+         "e77f18f8baad70754cbea79f8ea6543d111bdf7df2d55dc93782d97652431ac1"),
+        (("--bound", "v", "--side", "lower", "--format", "json"), EXIT_FAIL,
+         "95e4bd0f5402b9875bb0039595a8045ef42557bd522011845f0a6515cf4a14ce"),
+        (("--bound", "v", "--variant", "as-written", "--format", "json"), EXIT_FAIL,
+         "9990957af0ecef19e242396fd2d0cd74419a2fe44221e3242d0ffb34d2b30a31"),
+        (("--bound", "v", "--variant", "as-written", "--side", "lower"), EXIT_UNDECIDED,
+         "e1c0f0d20352dd1b54cc5a57be4a8bb5473b655c456bbae8982e75b5ec466853"),
+        (("--bound", "v", "--variant", "as-written", "--side", "lower",
+          "--format", "json"), EXIT_UNDECIDED,
+         "6ab91f283b1534a960940a003aed71b295e1b02ba220d971d78338949a2f74f7"),
+    ])
+    def test_stdout_digest(self, argv, code, digest):
+        got, out = run("prove", *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("keller", "--n", "10", "50", "--width", "1e-10", "--format", "csv"),
@@ -522,9 +555,11 @@ class TestEnclosureFailures:
         assert err.startswith("failed:") and "soundness" in err
 
     def test_exhausted_stages_are_undecided(self, capsys):
-        # the last stage reaches 1e-512, so 1e-600 cannot be decided, nor
-        # 1e-4000, the finest width --width accepts
-        for width in ("1e-600", "1e-4000"):
+        # the last stage reaches 1e-513 at n = 1 but not 1e-514, so neither
+        # 1e-514 nor 1e-4000, the finest width --width accepts, is decided
+        assert main(["check", "--n", "1", "--width", "1e-513"],
+                    out=io.StringIO()) == EXIT_OK
+        for width in ("1e-514", "1e-600", "1e-4000"):
             assert main(["check", "--n", "1", "--width", width],
                         out=io.StringIO()) == EXIT_UNDECIDED
             assert capsys.readouterr().err.startswith("undecided:")

@@ -15,8 +15,8 @@ from eulerbounds.prover import (REFERENCE_LOWER_CERT_NUMERATOR,
                                 log_gap_second_derivative,
                                 match_reference_polynomials, prove_bound,
                                 render_certificate, sign_certificate)
-from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound, expand_bound_gap,
-                               lower_bound, upper_bound)
+from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound, lower_bound,
+                               truncated_bound, upper_bound)
 
 X = Poly.x()
 
@@ -25,17 +25,10 @@ def P(*coeffs):
     return Poly(coeffs)
 
 
-def hierarchy_bound(K: int) -> BoundSpec:
-    """The bare bound with its gap series truncated after 1/x^K."""
-    bare = bare_optimal_bound()
-    gap = expand_bound_gap(bare, K)
-    return BoundSpec(bare.a, bare.b, [(gap[k], k) for k in range(1, K + 1)])
-
-
 # every bound the tests below prove or refute
 PROVED_OR_REFUTED = [lower_bound(), upper_bound(Variant.DEDUP),
                      upper_bound(Variant.AS_WRITTEN), bare_optimal_bound(),
-                     *(hierarchy_bound(K) for K in range(5, 9)), BoundSpec(1, 1)]
+                     *(truncated_bound(K) for K in range(5, 9)), BoundSpec(1, 1)]
 
 
 def to_sympy(r: RatFunc, x):
@@ -175,7 +168,7 @@ class TestCertifiedBounds:
         # truncating the bare bound's gap series after 1/x^K gives a lower
         # bound for odd K and an upper bound for even K
         for K in range(5, 9):
-            report = prove_bound(hierarchy_bound(K), "lower" if K % 2 else "upper")
+            report = prove_bound(truncated_bound(K), "lower" if K % 2 else "upper")
             assert report.proven, (K, report.conclusion)
 
     def test_refute_as_written_upper(self):
