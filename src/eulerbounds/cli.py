@@ -215,12 +215,11 @@ def cmd_expand(args, out) -> int:
         _refuse_unread(args, "the symbolic expansion", "variant")
         if args.order < 3:
             raise UsageError("the symbolic expansion needs --order >= 3")
-        w = expand_relative_error(args.order)
+        w, l = expand_relative_error(args.order)
         out.write("relative error expansion in t = 1/n over Q[a,b]\n")
         for k in range(1, args.order + 1):
-            body = " + ".join(f"{rat_str(c)}*a^{i}*b^{j}"
-                              for (i, j), c in sorted(w[k].items())) or "0"
-            out.write(f"t^{k}: {body}\n")
+            out.write(f"t^{k}: {rat_str(w[k])}*a^0*b^0 + {rat_str(l[k])}*a^0*b^{k}"
+                      f" + {rat_str(-l[k])}*a^{k}*b^0\n")
         return EXIT_OK
     bound = _bound(args)
     order = max(args.order, bound.max_power())
@@ -448,14 +447,24 @@ def cmd_carleman(args, out) -> int:
                          dec_ceil(lhs.hi, digits),
                          dec_floor(rhs.lo, digits),
                          dec_ceil(rhs.hi, digits)])
-        return EXIT_OK if lhs.hi <= rhs.lo else EXIT_FAIL
+        return _sums_verdict(lhs, rhs)
     lhs, rhs = carl.carleman_sums(seq, scheme, args.N)
     out.write(f"sequence {seq.describe()}, scheme {scheme.describe()}, N={args.N}\n")
     out.write(f"lhs  = {fmt_interval(lhs, digits)}\n")
     out.write(f"rhs  = {fmt_interval(rhs, digits)}\n")
-    ok = lhs.hi <= rhs.lo
-    out.write(f"lhs <= rhs rigorously: {'yes' if ok else 'NO'}\n")
-    return EXIT_OK if ok else EXIT_FAIL
+    code = _sums_verdict(lhs, rhs)
+    out.write(f"lhs <= rhs rigorously: {_SUMS_TEXT[code]}\n")
+    return code
+
+
+_SUMS_TEXT = {EXIT_OK: "yes", EXIT_FAIL: "NO", EXIT_UNDECIDED: "undecided"}
+
+
+def _sums_verdict(lhs, rhs) -> int:
+    """lhs <= rhs is proven when the enclosures are ordered, refuted when
+    they are ordered the other way, and undecided while they overlap."""
+    return (EXIT_OK if lhs.hi <= rhs.lo
+            else EXIT_FAIL if rhs.hi < lhs.lo else EXIT_UNDECIDED)
 
 
 def cmd_verify_all(args, out) -> int:

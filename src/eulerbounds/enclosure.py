@@ -54,7 +54,8 @@ class SoundnessError(ValueError):
 
 
 class RefinementExhausted(ArithmeticError):
-    """The last refinement stage still misses the requested width."""
+    """The last refinement stage still misses the requested width, or
+    still cannot tell which side of a value the enclosure lies on."""
 
 
 @dataclass(frozen=True)
@@ -386,8 +387,8 @@ def normalized_below(n: int, *values: tuple[int, int]) -> list[bool]:
     scale of the refined bound's margin.  Cross-multiplying by den keeps
     the tests in integers, with no gcd: hi den < num 2^prec proves "below",
     lo den >= num 2^prec "not below".  A straddle adds 34 bits and brackets
-    again, up to 8 times per pair, then raises ArithmeticError (the sides
-    are never equal: one is irrational).
+    again, up to 8 times per pair, then raises RefinementExhausted (the
+    sides are never equal: one is irrational).
     """
     if n < 1:
         raise DomainError("normalized sequence value needs n >= 1")
@@ -401,7 +402,7 @@ def normalized_below(n: int, *values: tuple[int, int]) -> list[bool]:
             prec += 34  # about ten decimal digits
             lo, hi = _normalized_fixed(n, 1, prec)
         else:
-            raise ArithmeticError(
+            raise RefinementExhausted(
                 f"could not separate enclosure from {num}/{den} at n={n}")
         verdicts.append(hi * den < num << prec)
     return verdicts

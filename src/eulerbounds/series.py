@@ -3,18 +3,17 @@
 This module replaces the computer-algebra step of the derivation with an
 in-repo exact series calculus:
 
-* ``expand_relative_error`` gives the expansion of the logarithmic error
-  w(x) = x ln(1+1/x) - 1 - ln((x+a)/(x+b))  with symbolic a, b, one
-  closed-form coefficient in Q[a,b] per power of t,
-* ``solve_optimal_params`` kills the two leading coefficients and returns
-  the unique admissible parameters (5/12, 11/12),
+* ``expand_relative_error`` gives the logarithmic error
+  x ln(1+1/x) - 1 - ln((x+a)/(x+b))  with symbolic a, b as two rational
+  series w, l: its t^k coefficient is w_k + l_k (b^k - a^k),
+* ``solve_optimal_params`` reads the parameters (5/12, 11/12) that kill
+  the two leading coefficients straight off w and l,
 * ``expand_bound_gap`` expands  (1/e)(1+1/x)^x - bound(x)  for a candidate
   rational bound; ``truncated_bound`` appends the bare approximant's gap
   coefficients to it as corrections, which derives the certified bounds.
 
 A series of order T is the tuple of its T+1 rational coefficients; no
-routine reads beyond the stored order.  An element of Q[a,b] is a dict
-{(i, j): c} of the coefficients c of a^i b^j that are not zero.
+routine reads beyond the stored order.
 """
 
 from __future__ import annotations
@@ -29,15 +28,10 @@ from typing import Iterable, NamedTuple
 from .algebra import Poly, Scalar, rat_str
 
 Coeffs = tuple[Fraction, ...]
-ParamTerms = dict[tuple[int, int], Fraction]
 
 
 class NonzeroConstantTerm(ValueError):
     """exp/log composition applied to a series with the wrong constant term."""
-
-
-class DegenerateSystem(ArithmeticError):
-    """The optimal-parameter elimination failed to stay triangular."""
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +263,16 @@ def log_gap_series(bound: BoundSpec, order: int) -> Coeffs:
     return _minus(xlog1p_minus_one_series(order), series_log(bound.series(order)))
 
 
-def expand_relative_error(order: int) -> tuple[ParamTerms, ...]:
-    """Coefficients of t^0..t^order of x ln(1+1/x) - 1 - ln((x+a)/(x+b))
-    over Q[a,b].
+def expand_relative_error(order: int) -> tuple[Coeffs, Coeffs]:
+    """The pair (w, l) = (x ln(1+1/x) - 1, ln(1+t)) to t^order, which gives
+    the relative error x ln(1+1/x) - 1 - ln((x+a)/(x+b)) for symbolic a, b.
 
-    With ln((x+a)/(x+b)) = ln(1+at) - ln(1+bt), the t^k coefficient is
-    (-1)^k [1/(k+1) + (a^k - b^k)/k]: the rational coefficient of
-    x ln(1+1/x) - 1 minus that of ln(1+t) times (a^k - b^k).
+    With ln((x+a)/(x+b)) = ln(1+at) - ln(1+bt), the error's t^k coefficient
+    is w_k + l_k (b^k - a^k).
     """
     if order < 3:
         raise ValueError("order must be >= 3")
-    base, log1p = xlog1p_minus_one_series(order), series_log1p(order)
-    return ({},) + tuple({(0, 0): base[k], (0, k): log1p[k], (k, 0): -log1p[k]}
-                         for k in range(1, order + 1))
+    return xlog1p_minus_one_series(order), series_log1p(order)
 
 
 class OptimalParams(NamedTuple):
@@ -290,42 +281,15 @@ class OptimalParams(NamedTuple):
     residual_third_coefficient: Fraction
 
 
-def eval_terms(p: ParamTerms, a: Scalar, b: Scalar) -> Fraction:
-    """The value of p at concrete rational parameters a, b."""
-    a, b = Fraction(a), Fraction(b)
-    return sum((c * a**i * b**j for (i, j), c in p.items()), Fraction(0))
-
-
-def _as_univariate_in_a(p: ParamTerms, b_poly: Poly) -> Poly:
-    """Substitute b -> b_poly(a) into p, returning a polynomial in a."""
-    out = Poly.zero()
-    for (i, j), c in p.items():
-        out = out + (Poly.x() ** i) * (b_poly ** j) * c
-    return out
-
-
 def solve_optimal_params() -> OptimalParams:
-    """Solve for the parameters that kill the two leading error terms.
+    """The parameters that kill the two leading error terms, with the
+    residual t^3 coefficient.
 
-    The coefficient of t is linear in (a, b); eliminating b (b = a + 1/2)
-    cancels the a^2 terms of the t^2 coefficient, leaving the linear
-    -a/2 + 5/24.  Its root, which must be positive, is returned together
-    with the residual t^3 coefficient.
+    The t coefficient w_1 + l_1 (b - a) fixes b - a = 1/2; the t^2
+    coefficient w_2 + l_2 (b - a)(b + a) then fixes b + a = 4/3.
     """
-    w = expand_relative_error(3)
-    c1, c2, c3 = w[1], w[2], w[3]
-    # c1 = alpha*a + beta*b + gamma must be linear with beta != 0
-    alpha, beta, gamma = (c1.get(key, Fraction(0)) for key in ((1, 0), (0, 1), (0, 0)))
-    if beta == 0 or set(c1) - {(1, 0), (0, 1), (0, 0)}:
-        raise DegenerateSystem("leading error coefficient is not linear in (a, b)")
-    # b expressed as a polynomial in a
-    b_of_a = Poly((-gamma / beta, -alpha / beta))
-    reduced = _as_univariate_in_a(c2, b_of_a)
-    if reduced.degree() != 1:
-        raise DegenerateSystem(
-            f"elimination left degree {reduced.degree()} in a, expected 1")
-    a = -reduced.coeff(0) / reduced.coeff(1)
-    if a <= 0:
-        raise DegenerateSystem(f"the root a = {a} is not admissible")
-    b = b_of_a.eval(a)
-    return OptimalParams(a, b, eval_terms(c3, a, b))
+    w, l = expand_relative_error(3)
+    diff = -w[1] / l[1]
+    total = -w[2] / (l[2] * diff)
+    a, b = (total - diff) / 2, (total + diff) / 2
+    return OptimalParams(a, b, w[3] + l[3] * (b**3 - a**3))

@@ -14,9 +14,10 @@ from eulerbounds.carleman import (TestSequence, WeightScheme, carleman_sums,
                                   polya_identities, telescoping_weight,
                                   termwise_weight_chain, weight, weight_over_e,
                                   weighted_sum)
-from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval, _normalized_fixed,
-                                   euler_number_interval, integer_nth_root,
-                                   normalized_below, normalized_euler_interval)
+from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval, RefinementExhausted,
+                                   _normalized_fixed, euler_number_interval,
+                                   integer_nth_root, normalized_below,
+                                   normalized_euler_interval)
 from eulerbounds.series import (Variant, bare_optimal_bound, lower_bound,
                                 upper_bound)
 
@@ -152,7 +153,7 @@ class TestChainDecision:
     def test_values_within_two_to_the_minus_400_are_undecidable(self, n):
         ref = oracle_normalized(n, 200)
         for value in (ref + F(1, 2**400), ref - F(1, 2**400)):
-            with pytest.raises(ArithmeticError):
+            with pytest.raises(RefinementExhausted):
                 chain_decision(n, value)
 
 

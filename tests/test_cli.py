@@ -290,6 +290,29 @@ class TestCarlemanBytes:
         assert code == EXIT_OK and len(out.splitlines()) == 22
         assert calls == list(range(1, 21))
 
+    def test_overlapping_sums_are_undecided(self):
+        # the inequality holds for every positive sequence, but each term of
+        # the Polya rhs lies below its 10^-43 grid, so rhs.lo = 0 and the
+        # two enclosures overlap
+        argv = ("carleman", "--seq", "geometric:1e-100", "--scheme", "polya")
+        code, out = run(*argv)
+        assert code == EXIT_UNDECIDED
+        assert out.splitlines()[-1] == "lhs <= rhs rigorously: undecided"
+        # N = 40 keeps the exact a_n column within CPython's 4300 digits
+        code, out = run(*argv, "--N", "40", "--format", "csv")
+        assert code == EXIT_UNDECIDED
+        assert out.splitlines()[-1] == (
+            "total,,0.000000000000,0.000000000001,0.000000000000,0.000000000001")
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_sums_ordered_the_other_way_are_refuted(self, fmt, monkeypatch):
+        monkeypatch.setattr(carleman, "weighted_sum",
+                            lambda seq, scheme, N: RatInterval.point(0))
+        code, out = run("carleman", "--N", "5", "--format", fmt)
+        assert code == EXIT_FAIL
+        assert out.splitlines()[-1].endswith(
+            "rigorously: NO" if fmt == "text" else ",0.000000000000,0.000000000000")
+
     def test_polya_bracket_around_an_exact_one(self):
         seq = TestSequence.custom([F(1, 3), F(4, 27)])
         lhs, rhs = carleman_sums(seq, WeightScheme.polya(), 2)
@@ -328,6 +351,19 @@ class TestProveBytes:
     def test_stdout_digest(self, argv, code, digest):
         got, out = run("prove", *argv)
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+class TestExpandBytes:
+    """The symbolic expansion beyond the golden's order 10, pinned by the
+    SHA-256 of its stdout and its exit code."""
+
+    @pytest.mark.parametrize("order, digest", [
+        (3, "8886a336ec295a15dc8b1a5da831a6c017af7f89e95426307575a8801f8d65d8"),
+        (400, "b53932979d8acd9501ee215c623d5f50fdd2a5663091c6b17fb0f375fee68a8e"),
+    ])
+    def test_stdout_digest(self, order, digest):
+        got, out = run("expand", "--order", str(order))
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (EXIT_OK, digest)
 
 
 class TestDeterminism:
@@ -563,6 +599,14 @@ class TestEnclosureFailures:
             assert main(["check", "--n", "1", "--width", width],
                         out=io.StringIO()) == EXIT_UNDECIDED
             assert capsys.readouterr().err.startswith("undecided:")
+
+
+    def test_an_inseparable_comparison_is_undecided(self, monkeypatch, capsys):
+        # a bracket of [0, 4] straddles every bound value at every precision
+        monkeypatch.setattr(enclosure, "_normalized_fixed",
+                            lambda p, q, prec: (0, 4 << prec))
+        assert run("carleman", "--mode", "chain", "--N", "1") == (EXIT_UNDECIDED, "")
+        assert capsys.readouterr().err.startswith("undecided: could not separate")
 
 
 def library_errors():

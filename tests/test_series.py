@@ -7,13 +7,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds import series
 from eulerbounds.algebra import Poly, RatFunc
-from eulerbounds.series import (BoundSpec, DegenerateSystem,
-                                NonzeroConstantTerm, Variant,
+from eulerbounds.series import (BoundSpec, NonzeroConstantTerm, Variant,
                                 bare_optimal_bound, euler_ratio_series,
-                                eval_terms, expand_bound_gap,
-                                expand_relative_error, log_gap_series,
+                                expand_bound_gap, expand_relative_error,
+                                log_gap_series,
                                 lower_bound, series_exp_compose, series_log,
                                 series_log1p, solve_optimal_params,
                                 upper_bound, xlog1p_minus_one_series)
@@ -81,13 +79,28 @@ class TestElementarySeries:
         assert series_log(series_exp_compose(s)) == s
 
 
+def error_terms(pair: tuple, k: int) -> dict:
+    """The t^k coefficient w_k + l_k (b^k - a^k) of the relative error as
+    {(i, j): c} for the terms c a^i b^j, zeros dropped."""
+    w, l = pair
+    terms = {}
+    for key, c in (((0, 0), w[k]), ((0, k), l[k]), ((k, 0), -l[k])):
+        terms[key] = terms.get(key, F(0)) + c
+    return {key: c for key, c in terms.items() if c}
+
+
+def error_coefficient(pair: tuple, k: int, a: F, b: F) -> F:
+    """The t^k coefficient of the relative error at rational a, b."""
+    return sum((c * a**i * b**j for (i, j), c in error_terms(pair, k).items()), F(0))
+
+
 class TestRelativeErrorExpansion:
     def test_first_three_coefficients(self):
         w = expand_relative_error(3)
-        assert w[0] == {}
-        assert w[1] == {(1, 0): -1, (0, 1): 1, (0, 0): F(-1, 2)}
-        assert w[2] == {(2, 0): F(1, 2), (0, 2): F(-1, 2), (0, 0): F(1, 3)}
-        assert w[3] == {(0, 3): F(1, 3), (3, 0): F(-1, 3), (0, 0): F(-1, 4)}
+        assert error_terms(w, 0) == {}
+        assert error_terms(w, 1) == {(1, 0): -1, (0, 1): 1, (0, 0): F(-1, 2)}
+        assert error_terms(w, 2) == {(2, 0): F(1, 2), (0, 2): F(-1, 2), (0, 0): F(1, 3)}
+        assert error_terms(w, 3) == {(0, 3): F(1, 3), (3, 0): F(-1, 3), (0, 0): F(-1, 4)}
 
     def test_closed_form_matches_sympy(self):
         # independent oracle: the same error, x ln(1+1/x) - 1 - ln((x+a)/(x+b))
@@ -96,23 +109,23 @@ class TestRelativeErrorExpansion:
         error = sp.log(1 + t) / t - 1 - sp.log(1 + a * t) + sp.log(1 + b * t)
         expansion = sp.series(error, t, 0, 11).removeO()
         w = expand_relative_error(10)
-        assert len(w) == 11
+        assert tuple(map(len, w)) == (11, 11)
         for k in range(11):
             coeff = sp.Poly(expansion.coeff(t, k), a, b)
             expected = {(i, j): F(int(c.p), int(c.q)) for (i, j), c in coeff.terms() if c}
-            assert w[k] == expected, k
+            assert error_terms(w, k) == expected, k
 
     def test_vanishing_at_the_optimum(self):
         w = expand_relative_error(3)
-        assert eval_terms(w[1], F(5, 12), F(11, 12)) == 0
-        assert eval_terms(w[2], F(5, 12), F(11, 12)) == 0
-        assert eval_terms(w[3], F(5, 12), F(11, 12)) == F(-5, 288)
+        assert error_coefficient(w, 1, F(5, 12), F(11, 12)) == 0
+        assert error_coefficient(w, 2, F(5, 12), F(11, 12)) == 0
+        assert error_coefficient(w, 3, F(5, 12), F(11, 12)) == F(-5, 288)
 
     def test_equal_parameters_leave_the_leading_term(self):
         # a == b degenerates the approximant to the constant 1
         w = expand_relative_error(3)
         for value in (F(0), F(1, 2), F(3)):
-            assert eval_terms(w[1], value, value) == F(-1, 2)
+            assert error_coefficient(w, 1, value, value) == F(-1, 2)
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
@@ -125,26 +138,17 @@ class TestOptimalParams:
         assert (got.a, got.b) == (F(5, 12), F(11, 12))
         assert got.residual_third_coefficient == F(-5, 288)
 
-    @pytest.mark.parametrize("c2", [{(2, 0): F(1), (0, 0): F(-1, 4)}, {(0, 0): F(1)}],
-                             ids=["quadratic", "constant"])
-    def test_reduced_degree_other_than_one_is_degenerate(self, monkeypatch, c2):
-        # c1 = a - b + 1/2 eliminates to b = a + 1/2, as in the real system;
-        # c2 then reduces to a^2 - 1/4 (root 1/2 > 0) or to a constant
-        system = ({}, {(1, 0): F(1), (0, 1): F(-1), (0, 0): F(1, 2)}, c2, {})
-        monkeypatch.setattr(series, "expand_relative_error", lambda order: system)
-        with pytest.raises(DegenerateSystem):
-            solve_optimal_params()
-
-    @pytest.mark.parametrize("c1, c2", [
-        ({(1, 0): F(1), (0, 1): F(-1), (1, 1): F(1)}, {(1, 0): F(1)}),
-        ({(1, 0): F(1), (0, 0): F(1, 2)}, {(0, 1): F(1)}),
-        ({(1, 0): F(1), (0, 1): F(-1)}, {(1, 0): F(1), (0, 0): F(1)}),
-    ], ids=["nonlinear", "no-b", "negative-root"])
-    def test_other_degenerate_systems(self, monkeypatch, c1, c2):
-        # c1 with an a*b term; c1 free of b; c2 reducing to a + 1 (root -1)
-        monkeypatch.setattr(series, "expand_relative_error", lambda order: ({}, c1, c2, {}))
-        with pytest.raises(DegenerateSystem):
-            solve_optimal_params()
+    def test_matches_an_independent_sympy_derivation(self):
+        # sympy's own t and t^2 coefficients of the error, solved for zero
+        a, b, t = sp.symbols("a b t")
+        error = sp.log(1 + t) / t - 1 - sp.log(1 + a * t) + sp.log(1 + b * t)
+        expansion = sp.series(error, t, 0, 4).removeO()
+        c1, c2, c3 = (expansion.coeff(t, k) for k in (1, 2, 3))
+        roots = [root for root in sp.solve([c1, c2], [a, b], dict=True) if root[a] > 0]
+        assert len(roots) == 1
+        expected = tuple(F(int(v.p), int(v.q))
+                         for v in (roots[0][a], roots[0][b], c3.subs(roots[0])))
+        assert tuple(solve_optimal_params()) == expected
 
 
 def ratfunc_sum(bound: BoundSpec) -> RatFunc:
