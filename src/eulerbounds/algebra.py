@@ -168,17 +168,10 @@ class Poly:
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
-    # -- calculus and evaluation ---------------------------------------
+    # -- calculus ------------------------------------------------------
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def eval(self, x: Scalar) -> Fraction:
-        """Horner evaluation; exact."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def shift(self, c: Scalar) -> "Poly":
         """Taylor shift: returns q with q(t) = self(t + c), exactly.
@@ -194,18 +187,6 @@ class Poly:
             for j in range(n - 2, i - 1, -1):
                 out[j] += c * out[j + 1]
         return Poly(out)
-
-    def factor_out_root(self, x0: Scalar) -> tuple[int, "Poly"]:
-        """Maximal m and q with self = (x - x0)^m * q, q(x0) != 0."""
-        if self.is_zero:
-            raise ValueError("cannot factor roots out of the zero polynomial")
-        x0 = Fraction(x0)
-        m, q = 0, self
-        linear = Poly((-x0, 1))
-        while q.eval(x0) == 0:
-            q = q // linear
-            m += 1
-        return m, q
 
     # -- normal forms ---------------------------------------------------
 

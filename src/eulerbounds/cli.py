@@ -40,6 +40,11 @@ EXIT_USAGE = 64
 # CPython refuses to print an integer of more than 4300 digits; a request
 # whose output could reach that size is refused before any work.
 MAX_PRINTED_DIGITS = 4000
+# the least integer CPython refuses to print
+INT_STR_LIMIT = 10**4300
+# the least index whose exact certified bound values check must test for
+# that limit: below it, the values have fewer than 4295 digits
+CHECK_DIGITS_FROM = 10**612
 # --n names at most this many indices (10^5 rows take seconds); a longer
 # table is refused before any work instead of running out of memory
 MAX_INDICES = 10**5
@@ -90,6 +95,11 @@ def dec_ceil(q: Fraction, digits: int) -> str:
 def dec_trunc(q: Fraction, digits: int) -> str:
     scaled = abs(q.numerator) * 10**digits // q.denominator
     return _scaled_digits(-scaled if q < 0 else scaled, digits)
+
+
+def printable(q: Fraction) -> bool:
+    """Whether rat_str(q) prints: numerator and denominator < INT_STR_LIMIT."""
+    return max(abs(q.numerator), q.denominator) < INT_STR_LIMIT
 
 
 def fmt_interval(iv, digits: int) -> str:
@@ -283,11 +293,20 @@ def cmd_prove(args, out) -> int:
 def cmd_check(args, out) -> int:
     from .algebra import rat_str
     from .enclosure import check_certified_at, check_classic_at
+    from .series import lower_bound, upper_bound
     if args.target == "classic":
         _refuse_unread(args, "--target classic", "variant")
     if args.format == "json":
         _refuse_unread(args, "--format json", "digits")
     variant, digits = _variant(args), args.digits or DEFAULT_DIGITS
+    if args.target == "certified":
+        # not monotone in n: each value cancels its own common factor
+        bounds = (lower_bound(), upper_bound(variant))
+        for r in args.n:
+            for n in range(max(r.start, CHECK_DIGITS_FROM), r.stop):
+                if not all(printable(b.eval(n)) for b in bounds):
+                    raise UsageError("an --n index would print exact bound "
+                                     "values of more than 4300 digits")
     worst = EXIT_OK
     results = []
     for n in itertools.chain.from_iterable(args.n):
@@ -427,6 +446,8 @@ def cmd_carleman(args, out) -> int:
         scheme = carl.WeightScheme.refined(variant)
     digits = args.digits or DEFAULT_DIGITS
     if args.format == "csv":
+        if not terms_printable(seq, args.N):
+            raise UsageError(f"--N {args.N} would print an a_n of more than 4300 digits")
         # the rows' enclosures summed in order are geometric_mean_sum's lhs
         per_term = DEFAULT_WIDTH / args.N
         terms = [seq.geometric_mean_enclosure(n, per_term) for n in range(1, args.N + 1)]
@@ -455,6 +476,18 @@ def cmd_carleman(args, out) -> int:
     code = _sums_verdict(lhs, rhs)
     out.write(f"lhs <= rhs rigorously: {_SUMS_TEXT[code]}\n")
     return code
+
+
+def terms_printable(seq, n: int) -> bool:
+    """Whether the exact a_1..a_n of a CSV all print.  A geometric or power-law
+    a_n is the largest, with denominator b^e >= 2^(e (bitlen(b) - 1)): the
+    bit length settles a large power before b^e is built."""
+    if seq.values is not None:
+        return all(map(printable, seq.values[:n]))
+    base, power = ((seq.ratio.denominator, n) if seq.kind == "geometric"
+                   else (n, int(seq.exponent)))
+    return (power * (base.bit_length() - 1) < INT_STR_LIMIT.bit_length()
+            and base**power < INT_STR_LIMIT)
 
 
 _SUMS_TEXT = {EXIT_OK: "yes", EXIT_FAIL: "NO", EXIT_UNDECIDED: "undecided"}

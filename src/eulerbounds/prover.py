@@ -15,13 +15,14 @@ rules out touching 0), i.e. the bound is a strict lower bound; the
 concave mirror image proves strict upper bounds.
 
 Each proof obligation -- P > 0 and Q > 0 on [1, oo), and the sign of
-the numerator of f'' -- is certified on one polynomial by dividing out
-the boundary root, Taylor-shifting to x = 1 and checking that all
-coefficients share one sign.  The test is only sufficient, but it is
-conclusive for every certified bound here, so it is the one proof form:
-polynomial = (x - 1)^m * shifted(x - 1), every coefficient of one sign,
-which a reader can recheck by hand.  Mixed signs give no certificate,
-never a wrong one; the prover then hunts for an exact numeric refutation
+the numerator of f'' -- is certified on one polynomial by one Taylor
+shift to x = 1: the boundary multiplicity m is the number of zero low
+coefficients, and the others must share one sign (Descartes' rule with
+no sign change).  The test is only sufficient, but it is conclusive for
+every certified bound here, so it is the one proof form: polynomial =
+(x - 1)^m * shifted(x - 1), every coefficient of one sign, which a
+reader can recheck by hand.  Mixed signs give no certificate, never a
+wrong one; the prover then hunts for an exact numeric refutation
 witness instead.  The monic denominator of f'' divides x (x+1)^2 P^2 Q^2,
 which is positive on [1, oo) once P and Q are, so it needs no certificate.
 """
@@ -62,33 +63,17 @@ class SignCertificate:
     segments: ClassVar[tuple] = ()
 
 
-def _uniform_sign(p: Poly) -> Optional[int]:
-    """+1/-1 when all coefficients share that sign (zeros allowed), else None."""
-    sign = 0
-    for c in p.coeffs:
-        if c == 0:
-            continue
-        s = 1 if c > 0 else -1
-        if sign == 0:
-            sign = s
-        elif s != sign:
-            return None
-    return sign or None
-
-
 def sign_certificate(p: Poly, x0: Scalar) -> Optional[SignCertificate]:
     """Certify that p keeps one strict sign on (x0, oo) (weak at x0 only
-    through the (x - x0)^m factor).  Returns None when the shifted
-    coefficients have mixed signs; never returns a wrong certificate."""
+    through the (x - x0)^m factor): p(x0 + t) = t^m s(t) with s(0) != 0
+    and no sign change in s.  Else None; never a wrong certificate."""
     x0 = Fraction(x0)
-    if p.is_zero:
+    coeffs = p.shift(x0).coeffs
+    signs = {c > 0 for c in coeffs if c}
+    if len(signs) != 1:  # mixed signs, or the zero polynomial
         return None
-    mult, reduced = p.factor_out_root(x0)
-    shifted = reduced.shift(x0)
-    sign = _uniform_sign(shifted)
-    if sign is None:
-        return None
-    return SignCertificate(x0, sign, p, mult, shifted)
+    mult = next(i for i, c in enumerate(coeffs) if c)
+    return SignCertificate(x0, 1 if signs.pop() else -1, p, mult, Poly(coeffs[mult:]))
 
 
 def _certified_positive(p: Poly, x0: Fraction) -> bool:

@@ -19,8 +19,13 @@ from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
                              dec_ceil, dec_floor, dec_trunc, index_range, main)
 from eulerbounds.enclosure import RatInterval, RefinementExhausted
-from eulerbounds.series import Variant
+from eulerbounds.series import Variant, lower_bound, upper_bound
 from fractions import Fraction as F
+
+
+# the exact bound values at this index have at most 4299 digits; at the
+# index before it, 4301
+CANCELLING = 16328125 * 10**606
 
 
 def run(*argv):
@@ -524,6 +529,21 @@ class TestUsageErrors:
         # above MAX_ORDER: the gap series costs about the order cubed
         (("expand", "--bound", "u", "--order", "1000"), "--order"),
         (("expand", "--bound", "v", "--order", str(cli.MAX_ORDER + 1)), "--order"),
+        # the exact bound values at 10^614 have 4305 and 4307 digits
+        (("check", "--n", str(10**614)), "--n"),
+        (("check", "--n", "1..3", str(10**614), "--format", "json"), "--n"),
+        (("check", "--n", str(10**614), "--variant", "as-written"), "--n"),
+        # the largest index alone does not decide: see below
+        (("check", "--n", str(CANCELLING - 1), str(CANCELLING)), "--n"),
+        # the exact a_n column: 10^-4300 has a denominator of 4301 digits
+        (("carleman", "--seq", "geometric:1e-100", "--scheme", "polya",
+          "--format", "csv", "--N", "43"), "--N"),
+        (("carleman", "--seq", "geometric:1/3", "--format", "csv",
+          "--N", str(10**20)), "--N"),
+        (("carleman", "--seq", "powerlaw:2", "--format", "csv",
+          "--N", str(10**2150)), "--N"),
+        (("carleman", "--seq", "custom:1/2," + "9" * 4300 + "e4000",
+          "--format", "csv", "--N", "2"), "--N"),
     ])
     def test_oversize_output_is_refused_before_any_work(self, argv, flag, capsys):
         start = time.perf_counter()
@@ -563,6 +583,38 @@ class TestUsageErrors:
         assert code == EXIT_OK and len(out) > 4000
         code, out = run("expand", "--order", str(cli.MAX_ORDER))
         assert code == EXIT_OK and out.splitlines()[-1].startswith(f"t^{cli.MAX_ORDER}: ")
+        # the exact bound values at 10^600 have 4208 and 4209 digits
+        code, out = run("check", "--n", str(10**600))
+        assert code == EXIT_UNDECIDED and out.startswith(f"n={10**600}: undecided")
+        # past 10^613 an index prints when its values cancel a large enough
+        # common factor, as CANCELLING's do and CANCELLING - 1's do not
+        code, out = run("check", "--n", str(CANCELLING))
+        assert code == EXIT_UNDECIDED and out.startswith(f"n={CANCELLING}: undecided")
+        code, out = run("carleman", "--seq", "geometric:1e-100", "--scheme", "polya",
+                        "--format", "csv", "--N", "42")
+        assert code == EXIT_UNDECIDED and f",1/1{'0' * 4200}," in out.splitlines()[42]
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_check_tests_every_index_that_can_reach_the_limit(self, variant):
+        # below CHECK_DIGITS_FROM, |P(n)| and Q(n) stay under the sum of the
+        # absolute coefficients times n^degree, and reducing P(n)/Q(n) only
+        # shrinks them
+        for bound in (lower_bound(), upper_bound(variant)):
+            for p in bound.polynomials():
+                assert (sum(abs(c) for c in p.coeffs) * cli.CHECK_DIGITS_FROM ** p.degree()
+                        < 10**4295)
+
+    @pytest.mark.parametrize("seq, largest", [
+        ("geometric:1e-100", 42),  # 10^4200 < 10^4300
+        ("geometric:1/3", 9012),  # 3^9012 < 10^4300 <= 3^9013
+        ("powerlaw:2", 10**2150 - 1),
+        ("powerlaw:4300", 9),
+    ])
+    def test_csv_terms_printable_up_to_the_limit(self, seq, largest):
+        # the rule alone: a CSV of 9012 rows would take most of a minute
+        seq = cli.parse_sequence(seq)
+        assert cli.terms_printable(seq, largest)
+        assert not cli.terms_printable(seq, largest + 1)
 
     def test_a_failing_handler_writes_nothing(self, monkeypatch):
         # the polya report writes two lines before it needs the weight

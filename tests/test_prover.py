@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from eulerbounds.algebra import Poly, RatFunc
 from eulerbounds.prover import (REFERENCE_LOWER_CERT_NUMERATOR,
@@ -112,6 +114,23 @@ class TestPolySignCertificate:
                        * cert.shifted_poly.shift(-cert.base_point))
             assert rebuilt == cert.cleared_numerator
 
+    @given(st.sampled_from([-1, 0, 1, F(3, 2), 2]), st.integers(0, 3),
+           st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_one_shift_gives_multiplicity_and_sign(self, x0, m, coeffs):
+        q = Poly(coeffs)
+        shifted = q.shift(x0)
+        assume(shifted.coeff(0) != 0)  # q nonzero, q(x0) != 0
+        p = P(-x0, 1) ** m * q
+        cert = sign_certificate(p, x0)
+        signs = {c > 0 for c in shifted.coeffs if c}
+        assert (cert is None) == (len(signs) == 2)
+        if cert is not None:
+            assert cert.boundary_multiplicity == m
+            assert cert.shifted_poly == shifted
+            assert cert.cleared_numerator == p
+            assert signs == {cert.claimed_sign > 0}
+
     @pytest.mark.parametrize("h,base", [
         (log_gap_second_derivative(lower_bound()), F(1)),
         (log_gap_second_derivative(upper_bound(Variant.DEDUP)), F(1)),
@@ -120,10 +139,12 @@ class TestPolySignCertificate:
         # the numerator's certificate gives the sign of the whole of f''
         cert = sign_certificate(h.num, base)
         assert cert is not None
+        x = sp.symbols("x")
+        f2 = to_sympy(h, x)
         rng = random.Random(20260808)
         for _ in range(20):
-            x = base + F(rng.randint(1, 10**6), 10**4)  # in (base, base+100]
-            value = h.num.eval(x) / h.den.eval(x)
+            point = base + F(rng.randint(1, 10**6), 10**4)  # in (base, base+100]
+            value = f2.subs(x, sp.Rational(point.numerator, point.denominator))
             assert value != 0 and (value > 0) == (cert.claimed_sign > 0)
 
     def test_denominator_sign_unknown(self):
@@ -238,7 +259,7 @@ class TestReferenceMatching:
         assert REFERENCE_UPPER_NUMERATOR.degree() == 7
         assert REFERENCE_UPPER_NUMERATOR.coeff(5) == 0
         assert REFERENCE_LOWER_CERT_NUMERATOR.coeff(9) == 44174729709158400
-        assert REFERENCE_LOWER_NUMERATOR.eval(1) == 3330241  # coefficient sum
+        assert sum(REFERENCE_LOWER_NUMERATOR.coeffs) == 3330241  # its value at x = 1
 
 
 class TestRendering:
