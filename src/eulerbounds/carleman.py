@@ -296,9 +296,12 @@ def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval
     """Enclose rhs = sum_{n<=N} weight(n) a_n.
 
     Telescoping family: each term (n+1)^n a_n / n^n is bracketed by its
-    floor and ceiling over S = 10^(40 + digits of N), one integer divmod,
-    and the integer brackets are summed, so the width is at most
-    N/S < 10^-40 and the endpoints stay near 40 digits.  The result is
+    floor and ceiling over S = 10^(40 + digits of N + z), one integer
+    divmod, and the integer brackets are summed, so the width is at most
+    N/S < 10^-(40 + z).  z = max(0, 3 (g - 4) // 10), g the bit length of
+    a_1's denominator less that of its numerator, is about the number of
+    zeros of a_1 after the decimal point and 0 when a_1 >= 1/10: the first
+    term, 2 a_1, keeps about 40 digits however small the sequence.  The result is
     an exact point when every term is exact at that scale (a short
     decimal); an exact sum built from inexact terms comes back as a
     bracket around it.  Simple and refined families: an e-interval
@@ -308,7 +311,9 @@ def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval
     if N < 1:
         raise ValueError("N must be >= 1")
     if scheme.kind == "polya":
-        scale = 10 ** (40 + len(str(N)))
+        first = seq.term(1)
+        gap = first.denominator.bit_length() - first.numerator.bit_length()
+        scale = 10 ** (40 + len(str(N)) + max(0, 3 * (gap - 4) // 10))
         lo = hi = 0
         for n in range(1, N + 1):
             a = seq.term(n)

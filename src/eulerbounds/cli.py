@@ -45,6 +45,8 @@ INT_STR_LIMIT = 10**4300
 # the least index whose exact certified bound values check must test for
 # that limit: below it, the values have fewer than 4295 digits
 CHECK_DIGITS_FROM = 10**612
+# the same for the exact sandwich values that keller's JSON and exact CSV print
+KELLER_DIGITS_FROM = 10**328
 # --n names at most this many indices (10^5 rows take seconds); a longer
 # table is refused before any work instead of running out of memory
 MAX_INDICES = 10**5
@@ -293,32 +295,27 @@ def cmd_prove(args, out) -> int:
 def cmd_check(args, out) -> int:
     from .algebra import rat_str
     from .enclosure import check_certified_at, check_classic_at
-    from .series import lower_bound, upper_bound
+    from .series import classical_bracket, lower_bound, upper_bound
     if args.target == "classic":
         _refuse_unread(args, "--target classic", "variant")
+        bounds, check = classical_bracket(), check_classic_at
+    else:
+        variant = _variant(args)
+        bounds = (lower_bound(), upper_bound(variant))
+        check = functools.partial(check_certified_at, variant=variant)
     if args.format == "json":
         _refuse_unread(args, "--format json", "digits")
-    variant, digits = _variant(args), args.digits or DEFAULT_DIGITS
-    if args.target == "certified":
-        # not monotone in n: each value cancels its own common factor
-        bounds = (lower_bound(), upper_bound(variant))
-        for r in args.n:
-            for n in range(max(r.start, CHECK_DIGITS_FROM), r.stop):
-                if not all(printable(b.eval(n)) for b in bounds):
-                    raise UsageError("an --n index would print exact bound "
-                                     "values of more than 4300 digits")
-    worst = EXIT_OK
-    results = []
-    for n in itertools.chain.from_iterable(args.n):
-        if args.target == "classic":
-            res = check_classic_at(n, args.width)
-        else:
-            res = check_certified_at(n, variant, args.width)
-        results.append(res)
-        if res.status == "fails":
-            worst = EXIT_FAIL
-        elif res.status == "undecided" and worst == EXIT_OK:
-            worst = EXIT_UNDECIDED
+    digits = args.digits or DEFAULT_DIGITS
+    # not monotone in n: each value cancels its own common factor
+    for r in args.n:
+        for n in range(max(r.start, CHECK_DIGITS_FROM), r.stop):
+            if not all(printable(b.eval(n)) for b in bounds):
+                raise UsageError("an --n index would print exact bound "
+                                 "values of more than 4300 digits")
+    results = [check(n, width=args.width) for n in itertools.chain.from_iterable(args.n)]
+    statuses = {res.status for res in results}
+    worst = (EXIT_FAIL if "fails" in statuses
+             else EXIT_UNDECIDED if "undecided" in statuses else EXIT_OK)
     if args.format == "json":
         payload = [{"n": str(res.n), "status": res.status, "side": res.side,
                     "lower": rat_str(res.lower_value),
@@ -365,6 +362,14 @@ def cmd_keller(args, out) -> int:
                       f"next {rat_str(top.coeff(top.degree() - 1))}\n")
         return EXIT_OK
     ns = [10, 100, 1000] if args.n is None else itertools.chain.from_iterable(args.n)
+    if args.n is not None and (args.exact or args.format == "json"):
+        # these forms print the exact sandwich values n^2 (side - 1) whole
+        for r in args.n:
+            for n in range(max(r.start, KELLER_DIGITS_FROM), r.stop):
+                sides = kel.sandwich_bounds(n, variant)
+                if not all(printable(n * n * (side - 1)) for side in sides):
+                    raise UsageError("an --n index would print exact sandwich "
+                                     "values of more than 4300 digits")
     rows = kel.convergence_table(ns, args.width or kel.DEFAULT_TABLE_WIDTH, variant)
     outcomes = {row.outcome for row in rows}
     code = (EXIT_FAIL if "outside" in outcomes

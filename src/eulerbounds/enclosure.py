@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .algebra import Scalar, rat_str
-from .series import Variant, lower_bound, upper_bound
+from .series import BoundSpec, Variant, classical_bracket, lower_bound, upper_bound
 
 DEFAULT_WIDTH = Fraction(1, 10**30)
 
@@ -353,30 +353,27 @@ class CheckResult:
         return self.status == "holds"
 
 
-def _two_sided_check(n: Fraction, lower: Fraction, upper: Fraction,
+def _two_sided_check(n: Scalar, lower: BoundSpec, upper: BoundSpec,
                      width: Fraction) -> CheckResult:
+    """Check lower(n) < (1/e)(1+1/n)^n < upper(n) by exact comparisons;
+    "undecided" means the enclosure straddles a bound (retry narrower).
+    Enclosing first refuses n < 1 before a bound can meet its pole."""
+    n = Fraction(n)
     env = normalized_euler_interval(n, width)
-    if lower < env.lo and env.hi < upper:
-        return CheckResult("holds", None, n, env, lower, upper)
-    if env.hi <= lower:
-        return CheckResult("fails", "lower", n, env, lower, upper)
-    if upper <= env.lo:
-        return CheckResult("fails", "upper", n, env, lower, upper)
-    return CheckResult("undecided", None, n, env, lower, upper)
+    lo, hi = lower.eval(n), upper.eval(n)
+    if lo < env.lo and env.hi < hi:
+        return CheckResult("holds", None, n, env, lo, hi)
+    if env.hi <= lo:
+        return CheckResult("fails", "lower", n, env, lo, hi)
+    if hi <= env.lo:
+        return CheckResult("fails", "upper", n, env, lo, hi)
+    return CheckResult("undecided", None, n, env, lo, hi)
 
 
 def check_certified_at(n: Scalar, variant: Variant = Variant.DEDUP,
                       width: Fraction = DEFAULT_WIDTH) -> CheckResult:
-    """Check lower(n) < (1/e)(1+1/n)^n < upper_variant(n) rigorously.
-
-    Comparisons against the exact rational bound values are exact; an
-    Undecided outcome means the enclosure straddles a bound and the caller
-    should retry with a smaller width.
-    """
-    n = Fraction(n)
-    if n < 1:
-        raise DomainError("the certified bounds require n >= 1")
-    return _two_sided_check(n, lower_bound().eval(n), upper_bound(variant).eval(n), width)
+    """Check lower(n) < (1/e)(1+1/n)^n < upper_variant(n) rigorously."""
+    return _two_sided_check(n, lower_bound(), upper_bound(variant), width)
 
 
 def normalized_below(n: int, *values: tuple[int, int]) -> list[bool]:
@@ -409,11 +406,8 @@ def normalized_below(n: int, *values: tuple[int, int]) -> list[bool]:
 
 
 def check_classic_at(n: int, width: Fraction = DEFAULT_WIDTH) -> CheckResult:
-    """Check the classical bracket 2n/(2n+1) < (1/e)(1+1/n)^n < (2n+1)/(2n+2)."""
-    if n < 1:
-        raise DomainError("the classical bracket requires n >= 1")
-    return _two_sided_check(Fraction(n), Fraction(2 * n, 2 * n + 1),
-                            Fraction(2 * n + 1, 2 * n + 2), width)
+    """Check the pair of ``classical_bracket`` at n rigorously."""
+    return _two_sided_check(n, *classical_bracket(), width)
 
 
 # ---------------------------------------------------------------------------

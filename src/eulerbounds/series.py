@@ -235,6 +235,14 @@ def upper_bound(variant: Variant = Variant.DEDUP) -> BoundSpec:
     return BoundSpec(bound.a, bound.b, bound.corrections + tuple(fifth))
 
 
+@functools.cache
+def classical_bracket() -> tuple[BoundSpec, BoundSpec]:
+    """The classical pair 2x/(2x+1) < (1/e)(1+1/x)^x < (2x+1)/(2x+2), as
+    (x+0)/(x+1/2) and (x+1/2)/(x+1): their integer P/Q are 2x over 2x+1
+    and 2x+1 over 2x+2."""
+    return BoundSpec(0, Fraction(1, 2)), BoundSpec(Fraction(1, 2), 1)
+
+
 # ---------------------------------------------------------------------------
 # the derivation
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from .enclosure import check_certified_at, normalized_below
 from .keller import (DISPLAY_DENOMINATOR_CONSTANT, convergence_table,
                      display_forms, sandwich_limits)
 from .prover import match_reference_polynomials, prove_bound
-from .series import (Variant, bare_optimal_bound, expand_bound_gap,
-                     expand_relative_error, lower_bound, solve_optimal_params,
-                     upper_bound)
+from .series import (Variant, bare_optimal_bound, classical_bracket,
+                     expand_bound_gap, expand_relative_error, lower_bound,
+                     solve_optimal_params, upper_bound)
 
 WIDTH_12 = Fraction(1, 10**12)
 WIDTH_30 = Fraction(1, 10**30)
@@ -103,9 +103,10 @@ def check_variant_adjudication() -> tuple[bool, str]:
 
 
 def check_classical_bracket() -> tuple[bool, str]:
-    """2n/(2n+1) < (1/e)(1+1/n)^n < (2n+1)/(2n+2) for n = 1..1000."""
+    """The pair of ``classical_bracket`` brackets (1/e)(1+1/n)^n, n = 1..1000."""
+    lower, upper = classical_bracket()
     bad = [n for n in range(1, 1001) if normalized_below(
-        n, (2 * n, 2 * n + 1), (2 * n + 1, 2 * n + 2)) != [False, True]]
+        n, lower.eval_pair(n), upper.eval_pair(n)) != [False, True]]
     return not bad, f"violations in 1..1000: {bad if bad else 'none'}"
 
 

@@ -19,7 +19,7 @@ from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
                              dec_ceil, dec_floor, dec_trunc, index_range, main)
 from eulerbounds.enclosure import RatInterval, RefinementExhausted
-from eulerbounds.series import Variant, lower_bound, upper_bound
+from eulerbounds.series import Variant, classical_bracket, lower_bound, upper_bound
 from fractions import Fraction as F
 
 
@@ -295,19 +295,27 @@ class TestCarlemanBytes:
         assert code == EXIT_OK and len(out.splitlines()) == 22
         assert calls == list(range(1, 21))
 
-    def test_overlapping_sums_are_undecided(self):
-        # the inequality holds for every positive sequence, but each term of
-        # the Polya rhs lies below its 10^-43 grid, so rhs.lo = 0 and the
-        # two enclosures overlap
-        argv = ("carleman", "--seq", "geometric:1e-100", "--scheme", "polya")
-        code, out = run(*argv)
+    def test_overlapping_sums_are_undecided(self, monkeypatch):
+        monkeypatch.setattr(carleman, "weighted_sum",
+                            lambda seq, scheme, N: RatInterval(0, 100))
+        code, out = run("carleman", "--N", "5")
         assert code == EXIT_UNDECIDED
         assert out.splitlines()[-1] == "lhs <= rhs rigorously: undecided"
-        # N = 40 keeps the exact a_n column within CPython's 4300 digits
-        code, out = run(*argv, "--N", "40", "--format", "csv")
+        code, out = run("carleman", "--N", "5", "--format", "csv")
         assert code == EXIT_UNDECIDED
-        assert out.splitlines()[-1] == (
-            "total,,0.000000000000,0.000000000001,0.000000000000,0.000000000001")
+        assert out.splitlines()[-1].endswith(",0.000000000000,100.000000000000")
+
+    @pytest.mark.parametrize("argv", [
+        ("--seq", "geometric:1e-100"),
+        ("--seq", "geometric:1e-45", "--N", "5"),
+        ("--seq", "custom:1e-50,1e-50", "--N", "2"),
+    ])
+    def test_tiny_sequences_are_decided(self, argv):
+        # the Polya grid follows a_1 down: on a fixed 10^-43 grid every term
+        # of these rhs sums rounds down to 0 and the verdict was undecided
+        code, out = run("carleman", "--scheme", "polya", *argv)
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == "lhs <= rhs rigorously: yes"
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_sums_ordered_the_other_way_are_refuted(self, fmt, monkeypatch):
@@ -592,16 +600,51 @@ class TestUsageErrors:
         assert code == EXIT_UNDECIDED and out.startswith(f"n={CANCELLING}: undecided")
         code, out = run("carleman", "--seq", "geometric:1e-100", "--scheme", "polya",
                         "--format", "csv", "--N", "42")
-        assert code == EXIT_UNDECIDED and f",1/1{'0' * 4200}," in out.splitlines()[42]
+        assert code == EXIT_OK and f",1/1{'0' * 4200}," in out.splitlines()[42]
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_check_tests_every_index_that_can_reach_the_limit(self, variant):
         # below CHECK_DIGITS_FROM, |P(n)| and Q(n) stay under the sum of the
         # absolute coefficients times n^degree, and reducing P(n)/Q(n) only
         # shrinks them
-        for bound in (lower_bound(), upper_bound(variant)):
+        for bound in (lower_bound(), upper_bound(variant), *classical_bracket()):
             for p in bound.polynomials():
                 assert (sum(abs(c) for c in p.coeffs) * cli.CHECK_DIGITS_FROM ** p.degree()
+                        < 10**4295)
+
+    def test_classic_target_is_refused_past_the_limit(self, capsys):
+        import json
+
+        # 2n + 2 = 10^4300 at the first index, whose upper value does not print
+        start = time.perf_counter()
+        assert run("check", "--target", "classic", "--n", str(5 * 10**4299 - 1)) == (
+            EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert "--n" in capsys.readouterr().err
+        n = 5 * 10**4299 - 2
+        code, out = run("check", "--target", "classic", "--n", str(n), "--format", "json")
+        assert code == EXIT_UNDECIDED
+        assert json.loads(out)[0]["upper"] == f"{2 * n + 1}/{2 * n + 2}"
+
+    @pytest.mark.parametrize("form", [("--format", "json"), ("--format", "csv", "--exact")])
+    def test_keller_exact_forms_are_refused_past_the_limit(self, form, capsys):
+        # n^2 (side - 1) has 4298 digits at 10^390 and 4301 at 2 * 10^390
+        for n in (2 * 10**390, 10**1000):
+            start = time.perf_counter()
+            assert run("keller", "--n", str(n), "--width", "1e4000", *form) == (EXIT_USAGE, "")
+            assert time.perf_counter() - start < 1
+            assert "--n" in capsys.readouterr().err
+        code, out = run("keller", "--n", str(10**390), "--width", "1e4000", *form)
+        assert code == EXIT_UNDECIDED and len(out) > 2 * 4290
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_keller_tests_every_index_that_can_reach_the_limit(self, variant):
+        # below KELLER_DIGITS_FROM, n^2 (N - D) and D of each sandwich side
+        # stay under the sum of the absolute coefficients times n^degree
+        n2 = Poly((0, 0, 1))
+        for num, den in keller._sandwich_sides(variant):
+            for p in ((num - den) * n2, den):
+                assert (sum(abs(c) for c in p.coeffs) * cli.KELLER_DIGITS_FROM ** p.degree()
                         < 10**4295)
 
     @pytest.mark.parametrize("seq, largest", [

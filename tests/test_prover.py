@@ -17,8 +17,9 @@ from eulerbounds.prover import (REFERENCE_LOWER_CERT_NUMERATOR,
                                 log_gap_second_derivative,
                                 match_reference_polynomials, prove_bound,
                                 render_certificate, sign_certificate)
-from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound, lower_bound,
-                               truncated_bound, upper_bound)
+from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound,
+                               classical_bracket, lower_bound, truncated_bound,
+                               upper_bound)
 
 X = Poly.x()
 
@@ -191,6 +192,15 @@ class TestCertifiedBounds:
         for K in range(5, 9):
             report = prove_bound(truncated_bound(K), "lower" if K % 2 else "upper")
             assert report.proven, (K, report.conclusion)
+
+    def test_prove_classical_bracket(self):
+        # 2x/(2x+1) is a lower and (2x+1)/(2x+2) an upper bound on [1, oo)
+        for bound, side, shifted in zip(classical_bracket(), ("lower", "upper"),
+                                        (["11/4", "15/4", "5/4"], ["-1/4"])):
+            report = prove_bound(bound, side)
+            assert report.proven and report.limit_at_infinity_ok
+            assert report.certificate.boundary_multiplicity == 0
+            assert report.certificate.shifted_poly.to_strings() == shifted
 
     def test_refute_as_written_upper(self):
         report = prove_bound(upper_bound(Variant.AS_WRITTEN), "upper")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from eulerbounds.algebra import Poly, RatFunc
 from eulerbounds.series import (BoundSpec, NonzeroConstantTerm, Variant,
-                                bare_optimal_bound, euler_ratio_series,
+                                bare_optimal_bound, classical_bracket,
+                                euler_ratio_series,
                                 expand_bound_gap, expand_relative_error,
                                 log_gap_series,
                                 lower_bound, series_exp_compose, series_log,
@@ -229,6 +230,15 @@ class TestBoundSpec:
                 bound.eval(x)
         else:
             assert bound.eval(x) == expected
+
+    @given(st.one_of(st.integers(1, 10**30),
+                     st.integers(5 * 10**4299 - 10**6, 5 * 10**4299 + 10**6)))
+    @settings(max_examples=100, deadline=None)
+    def test_classical_bracket_is_the_integer_pair(self, n):
+        lower, upper = classical_bracket()
+        assert lower.eval_pair(n) == (2 * n, 2 * n + 1)
+        assert upper.eval_pair(n) == (2 * n + 1, 2 * n + 2)
+        assert (lower.eval(n), upper.eval(n)) == (F(2 * n, 2 * n + 1), F(2 * n + 1, 2 * n + 2))
 
     def test_eval_raises_at_every_pole_of_the_sum(self):
         bound = BoundSpec(F(1, 3), F(1, 3), [(F(1), 2)])

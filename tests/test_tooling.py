@@ -127,6 +127,13 @@ def test_no_public_library_code_only_the_tests_use():
     assert unreferenced_public_names(modules, perfbench) == []
 
 
+def test_only_the_tracer_keeps_epsilon_term_alive():
+    # with perfbench/ left out, the library's own callers alone: a new name
+    # that only the benchmark tracer binds shows up here
+    modules = [p for p in LIBRARY if p.name != "__init__.py"]
+    assert unreferenced_public_names(modules, []) == ["carleman.py:epsilon_term"]
+
+
 def test_reference_scan_sees_uses_outside_the_definition(tmp_path):
     lib = tmp_path / "lib.py"
     lib.write_text("def used():\n    return 1\n\n"
