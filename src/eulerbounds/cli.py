@@ -10,8 +10,9 @@ byte-identical bytes) and exits with
 
 Usage errors are found while parsing, before any work: each flag's
 argparse type checks its value, and a handler checks only what depends
-on more than one flag.  After that the exception type alone sets the
-exit code: an exhausted refinement exits 2, any other failure 1.
+on more than one flag, or whether output prints (``printable``), which
+is otherwise found after the work.  After that the exception type alone
+sets the exit code: an exhausted refinement exits 2, any other failure 1.
 
 Decimal renderings never overstate precision: plain rationals are
 truncated toward zero and printed next to their exact value, interval
@@ -37,16 +38,9 @@ EXIT_FAIL = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 64
 
-# CPython refuses to print an integer of more than 4300 digits; a request
-# whose output could reach that size is refused before any work.
+# --digits and the decimal exponent of a rational flag are at most this
 MAX_PRINTED_DIGITS = 4000
-# the least integer CPython refuses to print
-INT_STR_LIMIT = 10**4300
-# the least index whose exact certified bound values check must test for
-# that limit: below it, the values have fewer than 4295 digits
-CHECK_DIGITS_FROM = 10**612
-# the same for the exact sandwich values that keller's JSON and exact CSV print
-KELLER_DIGITS_FROM = 10**328
+TOO_LONG = "more digits than this Python prints (sys.set_int_max_str_digits)"
 # --n names at most this many indices (10^5 rows take seconds); a longer
 # table is refused before any work instead of running out of memory
 MAX_INDICES = 10**5
@@ -78,30 +72,45 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+def printable(q: Fraction | int, power: int = 1) -> bool:
+    """Whether rat_str(q ** power) prints: no integer of more than L digits does,
+    L = sys.get_int_max_str_digits() (0, or before 3.10.7: none).  m = max(|p|, q)
+    of b bits has 2^(power (b-1)) <= m^power < 2^(power b), and 8^L < 10^L < 16^L."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    top = max(abs(q.numerator), q.denominator)
+    return (not limit or power * top.bit_length() <= 3 * limit
+            or power * (top.bit_length() - 1) < 4 * limit and top**power < 10**limit)
+
+
+def require_printable(*values: Fraction | int) -> None:
+    if not all(map(printable, values)):
+        raise UsageError(f"a printed number would have {TOO_LONG}")
+
+
+def rat_str(q: Fraction) -> str:
+    """'p/q', as algebra.rat_str writes it, for a value that prints."""
+    require_printable(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
 def _scaled_digits(value: int, digits: int) -> str:
-    sign = "-" if value < 0 else ""
-    text = str(abs(value)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+    # at most --digits <= L digits each: the fraction, and a whole < 2^(3 digits)
+    whole, fraction = divmod(abs(value), 10**digits)
+    if whole.bit_length() > 3 * digits:
+        require_printable(whole)
+    return f"{'-' if value < 0 else ''}{whole}.{str(fraction).zfill(digits)}"
 
 
 def dec_floor(q: Fraction, digits: int) -> str:
-    scaled = q.numerator * 10**digits
-    return _scaled_digits(scaled // q.denominator, digits)
+    return _scaled_digits(q.numerator * 10**digits // q.denominator, digits)
 
 
 def dec_ceil(q: Fraction, digits: int) -> str:
-    scaled = -q.numerator * 10**digits
-    return _scaled_digits(-(scaled // q.denominator), digits)
+    return _scaled_digits(-(-q.numerator * 10**digits // q.denominator), digits)
 
 
 def dec_trunc(q: Fraction, digits: int) -> str:
-    scaled = abs(q.numerator) * 10**digits // q.denominator
-    return _scaled_digits(-scaled if q < 0 else scaled, digits)
-
-
-def printable(q: Fraction) -> bool:
-    """Whether rat_str(q) prints: numerator and denominator < INT_STR_LIMIT."""
-    return max(abs(q.numerator), q.denominator) < INT_STR_LIMIT
+    return _scaled_digits(int(q * 10**digits), digits)
 
 
 def fmt_interval(iv, digits: int) -> str:
@@ -109,8 +118,7 @@ def fmt_interval(iv, digits: int) -> str:
 
 
 def _csv_writer(out):
-    # imported on first use: only the CSV formats need it, and loading it
-    # with the CLI raises every other command's peak memory by 0.3-0.5 MB
+    # imported on first use: loading it with the CLI costs every command 0.3-0.5 MB
     import csv
     return csv.writer(out, lineterminator="\n")
 
@@ -125,6 +133,14 @@ def bounded_int(least: int, most: Optional[int] = None):
                 f"must be >= {least}" if most is None else f"must be in {least}..{most}")
         return value
     return integer
+
+
+def digit_count(text: str) -> int:
+    """--digits: 1..MAX_PRINTED_DIGITS and at most the digit limit, read here."""
+    value = bounded_int(1, MAX_PRINTED_DIGITS)(text)
+    if not printable(10, value - 1):
+        raise argparse.ArgumentTypeError(f"a fraction of {value} digits has {TOO_LONG}")
+    return value
 
 
 def rational(text: str) -> Fraction:
@@ -190,9 +206,6 @@ def parse_sequence(text: str):
                                      "(use geometric:R, powerlaw:P, custom:a1,a2,...)")
 
 
-_SCHEMES = ("polya", "refined", "simple")
-
-
 def _variant(args):
     from .series import Variant
     return Variant(args.variant or Variant.DEDUP.value)
@@ -221,7 +234,6 @@ def _refuse_unread(args, mode: str, *flags: str) -> None:
 
 
 def cmd_expand(args, out) -> int:
-    from .algebra import rat_str
     from .series import expand_bound_gap, expand_relative_error
     if args.bound is None:
         _refuse_unread(args, "the symbolic expansion", "variant")
@@ -243,7 +255,6 @@ def cmd_expand(args, out) -> int:
 
 
 def cmd_optimize(args, out) -> int:
-    from .algebra import rat_str
     from .series import solve_optimal_params
     got = solve_optimal_params()
     out.write(f"a = {rat_str(got.a)}\n")
@@ -255,15 +266,15 @@ def cmd_optimize(args, out) -> int:
 
 
 def cmd_prove(args, out) -> int:
-    from .algebra import rat_str
     from .prover import match_reference_polynomials, prove_bound, render_certificate
     bound = _bound(args)
     side = args.side or {"bare": "upper", "u": "lower", "v": "upper"}[args.bound]
     report = prove_bound(bound, side)
-    matches = (match_reference_polynomials(report)
-               if args.bound in ("u", "v") else [])
+    matches = match_reference_polynomials(report) if args.bound in ("u", "v") else []
+    cert, wit = report.certificate, report.refutation  # both printed whole
+    shown = (wit.x, wit.bound_value, wit.enclosure.lo, wit.enclosure.hi) if wit else ()
+    require_printable(*(cert.shifted_poly.coeffs if cert else ()), *shown)
     if args.format == "json":
-        cert = report.certificate
         payload = {
             "bound": report.bound.describe(),
             "side": report.side,
@@ -274,10 +285,10 @@ def cmd_prove(args, out) -> int:
                 "boundary_multiplicity": cert.boundary_multiplicity,
                 "shifted_coefficients": cert.shifted_poly.to_strings(),
             },
-            "witness": None if report.refutation is None else {
-                "x": rat_str(report.refutation.x),
-                "bound_value": rat_str(report.refutation.bound_value),
-                "enclosure": report.refutation.enclosure.to_strings(),
+            "witness": None if wit is None else {
+                "x": rat_str(wit.x),
+                "bound_value": rat_str(wit.bound_value),
+                "enclosure": list(map(rat_str, shown[2:])),
             },
             "reference_matches": {m.name: m.matches for m in matches},
         }
@@ -293,7 +304,6 @@ def cmd_prove(args, out) -> int:
 
 
 def cmd_check(args, out) -> int:
-    from .algebra import rat_str
     from .enclosure import check_certified_at, check_classic_at
     from .series import classical_bracket, lower_bound, upper_bound
     if args.target == "classic":
@@ -306,33 +316,39 @@ def cmd_check(args, out) -> int:
     if args.format == "json":
         _refuse_unread(args, "--format json", "digits")
     digits = args.digits or DEFAULT_DIGITS
-    # not monotone in n: each value cancels its own common factor
-    for r in args.n:
-        for n in range(max(r.start, CHECK_DIGITS_FROM), r.stop):
-            if not all(printable(b.eval(n)) for b in bounds):
-                raise UsageError("an --n index would print exact bound "
-                                 "values of more than 4300 digits")
+    polys = [p for b in bounds for p in b.polynomials()]
+    if not all(printable(b.eval(n)) for n in indices_to_test(polys, args.n)
+               for b in bounds):
+        raise UsageError(f"an --n index would print an exact value with {TOO_LONG}")
     results = [check(n, width=args.width) for n in itertools.chain.from_iterable(args.n)]
     statuses = {res.status for res in results}
     worst = (EXIT_FAIL if "fails" in statuses
              else EXIT_UNDECIDED if "undecided" in statuses else EXIT_OK)
     if args.format == "json":
         payload = [{"n": str(res.n), "status": res.status, "side": res.side,
-                    "lower": rat_str(res.lower_value),
-                    "upper": rat_str(res.upper_value),
-                    "enclosure": res.enclosure.to_strings()}
+                    "lower": rat_str(res.lower_value), "upper": rat_str(res.upper_value),
+                    "enclosure": list(map(rat_str, (res.enclosure.lo, res.enclosure.hi)))}
                    for res in results]
         json.dump(payload, out, sort_keys=True, indent=2)
         out.write("\n")
         return worst
     for res in results:
-        line = f"n={res.n}: {res.status}"
-        if res.side:
-            line += f"({res.side})"
-        line += (f"  bounds [{rat_str(res.lower_value)}, {rat_str(res.upper_value)}]"
-                 f"  enclosure {fmt_interval(res.enclosure, digits)}")
-        out.write(line + "\n")
+        side = f"({res.side})" if res.side else ""
+        out.write(f"n={res.n}: {res.status}{side}  bounds [{rat_str(res.lower_value)}, "
+                  f"{rat_str(res.upper_value)}]  enclosure "
+                  f"{fmt_interval(res.enclosure, digits)}\n")
     return worst
+
+
+def indices_to_test(polys, ranges):
+    """The indices of ``ranges`` from 10^((L - digits(S)) // d) on, least over the
+    integer ``polys`` (S: absolute coefficient sum, d: degree, L: digit limit; m digits
+    print iff 10^(m-1) does).  Below it |P(n)| <= S n^d < 10^L, and reducing only
+    shrinks; past it each index is tested, as each cancels its own factor."""
+    sizes = [(len(str(sum(map(abs, p.coeffs)))), p.degree()) for p in polys]
+    k = next((k for k in range(len(str(max(r[-1] for r in ranges))), 0, -1)
+              if all(printable(10, s + k * d - 1) for s, d in sizes)), 0)
+    return itertools.chain.from_iterable(r[max(10**k - r.start, 0):] for r in ranges)
 
 
 _CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"}
@@ -340,7 +356,7 @@ _CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"
 
 def cmd_keller(args, out) -> int:
     from . import keller as kel
-    from .algebra import rat_str
+    from .algebra import Poly
     if args.symbolic and args.format != "text":
         raise UsageError("--symbolic writes text only")
     if args.exact and args.format != "csv":
@@ -363,13 +379,12 @@ def cmd_keller(args, out) -> int:
         return EXIT_OK
     ns = [10, 100, 1000] if args.n is None else itertools.chain.from_iterable(args.n)
     if args.n is not None and (args.exact or args.format == "json"):
-        # these forms print the exact sandwich values n^2 (side - 1) whole
-        for r in args.n:
-            for n in range(max(r.start, KELLER_DIGITS_FROM), r.stop):
-                sides = kel.sandwich_bounds(n, variant)
-                if not all(printable(n * n * (side - 1)) for side in sides):
-                    raise UsageError("an --n index would print exact sandwich "
-                                     "values of more than 4300 digits")
+        # these forms print the exact sandwich values n^2 (N - D) / D whole
+        polys = [p for num, den in kel.sandwich_sides(variant)
+                 for p in ((num - den) * Poly.x()**2, den)]
+        if not all(printable(n * n * (side - 1)) for n in indices_to_test(polys, args.n)
+                   for side in kel.sandwich_bounds(n, variant)):
+            raise UsageError(f"an --n index would print an exact value with {TOO_LONG}")
     rows = kel.convergence_table(ns, args.width or kel.DEFAULT_TABLE_WIDTH, variant)
     outcomes = {row.outcome for row in rows}
     code = (EXIT_FAIL if "outside" in outcomes
@@ -378,17 +393,12 @@ def cmd_keller(args, out) -> int:
     if args.format == "csv":
         writer = _csv_writer(out)
         writer.writerow(["n", "lo", "hi", "sandwich_lo", "sandwich_hi", "target"])
+        lo, hi, cut = ((rat_str,) * 3 if args.exact else
+                       (functools.partial(f, digits=digits)
+                        for f in (dec_floor, dec_ceil, dec_trunc)))
         for row in rows:
-            if args.exact:
-                writer.writerow([row.n, rat_str(row.rate.lo), rat_str(row.rate.hi),
-                                 rat_str(row.sandwich_lo), rat_str(row.sandwich_hi),
-                                 rat_str(target)])
-            else:
-                writer.writerow([row.n, dec_floor(row.rate.lo, digits),
-                                 dec_ceil(row.rate.hi, digits),
-                                 dec_floor(row.sandwich_lo, digits),
-                                 dec_ceil(row.sandwich_hi, digits),
-                                 dec_trunc(target, digits)])
+            writer.writerow([row.n, lo(row.rate.lo), hi(row.rate.hi),
+                             lo(row.sandwich_lo), hi(row.sandwich_hi), cut(target)])
         return code
     if args.format == "json":
         payload = [{"n": row.n,
@@ -412,16 +422,14 @@ def cmd_keller(args, out) -> int:
 
 def cmd_carleman(args, out) -> int:
     from . import carleman as carl
-    from .algebra import rat_str
     from .enclosure import DEFAULT_WIDTH, RatInterval
     if args.mode != "sums" and args.format != "text":
         raise UsageError(f"--mode {args.mode} writes text only")
     if args.mode == "polya":
         _refuse_unread(args, "--mode polya", "variant", "seq", "scheme", "digits")
         n = args.N
-        if n * len(str(n + 1)) > MAX_PRINTED_DIGITS:
-            raise UsageError(f"--N {n} would print (N+1)^N with more than "
-                             f"{MAX_PRINTED_DIGITS} digits")
+        if not printable(Fraction(n + 1, n), n):
+            raise UsageError(f"--N {n} would print (N+1)^N with {TOO_LONG}")
         geo, tail = carl.polya_identities(n)
         out.write(f"(c_1...c_{n})^(1/{n}) = {rat_str(geo)}\n")
         out.write(f"tail x_{n} = {rat_str(tail)}\n")
@@ -442,17 +450,19 @@ def cmd_carleman(args, out) -> int:
         return EXIT_OK if report.passed else EXIT_FAIL
     seq = args.seq or carl.TestSequence.geometric(Fraction(1, 2))
     if seq.values is not None and args.N > len(seq.values):
-        raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} terms "
-                         "of the custom sequence")
+        raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} custom terms")
     if args.scheme in ("polya", "simple"):
         _refuse_unread(args, f"--scheme {args.scheme}", "variant")
         scheme = getattr(carl.WeightScheme, args.scheme)()
     else:
         scheme = carl.WeightScheme.refined(variant)
     digits = args.digits or DEFAULT_DIGITS
+    if args.format == "csv" and not terms_printable(seq, args.N):
+        raise UsageError(f"--N {args.N} would print an a_n with {TOO_LONG}")
+    # the report names r or p; sums stay below 3 N max a_n: weights < e, means <= max a_n
+    top = max(seq.values[:args.N]) if seq.values else seq.term(1)
+    require_printable(seq.ratio or 0, seq.exponent or 0, 3 * args.N * top // 1)
     if args.format == "csv":
-        if not terms_printable(seq, args.N):
-            raise UsageError(f"--N {args.N} would print an a_n of more than 4300 digits")
         # the rows' enclosures summed in order are geometric_mean_sum's lhs
         per_term = DEFAULT_WIDTH / args.N
         terms = [seq.geometric_mean_enclosure(n, per_term) for n in range(1, args.N + 1)]
@@ -464,15 +474,11 @@ def cmd_carleman(args, out) -> int:
         for n, term in enumerate(terms, 1):
             w = carl.weight(scheme, n)
             w_lo, w_hi = (w, w) if isinstance(w, Fraction) else (w.lo, w.hi)
-            writer.writerow([n, rat_str(seq.term(n)),
-                             dec_floor(term.lo, digits),
-                             dec_ceil(term.hi, digits),
-                             dec_floor(w_lo, digits),
+            writer.writerow([n, rat_str(seq.term(n)), dec_floor(term.lo, digits),
+                             dec_ceil(term.hi, digits), dec_floor(w_lo, digits),
                              dec_ceil(w_hi, digits)])
-        writer.writerow(["total", "", dec_floor(lhs.lo, digits),
-                         dec_ceil(lhs.hi, digits),
-                         dec_floor(rhs.lo, digits),
-                         dec_ceil(rhs.hi, digits)])
+        writer.writerow(["total", "", dec_floor(lhs.lo, digits), dec_ceil(lhs.hi, digits),
+                         dec_floor(rhs.lo, digits), dec_ceil(rhs.hi, digits)])
         return _sums_verdict(lhs, rhs)
     lhs, rhs = carl.carleman_sums(seq, scheme, args.N)
     out.write(f"sequence {seq.describe()}, scheme {scheme.describe()}, N={args.N}\n")
@@ -484,15 +490,12 @@ def cmd_carleman(args, out) -> int:
 
 
 def terms_printable(seq, n: int) -> bool:
-    """Whether the exact a_1..a_n of a CSV all print.  A geometric or power-law
-    a_n is the largest, with denominator b^e >= 2^(e (bitlen(b) - 1)): the
-    bit length settles a large power before b^e is built."""
+    """Whether a CSV's exact a_1..a_n print; r^n or 1/n^p is the largest."""
     if seq.values is not None:
         return all(map(printable, seq.values[:n]))
-    base, power = ((seq.ratio.denominator, n) if seq.kind == "geometric"
-                   else (n, int(seq.exponent)))
-    return (power * (base.bit_length() - 1) < INT_STR_LIMIT.bit_length()
-            and base**power < INT_STR_LIMIT)
+    if seq.kind == "geometric":
+        return printable(seq.ratio, n)
+    return printable(Fraction(n), int(seq.exponent))
 
 
 _SUMS_TEXT = {EXIT_OK: "yes", EXIT_FAIL: "NO", EXIT_UNDECIDED: "undecided"}
@@ -529,7 +532,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if digits:
-            p.add_argument("--digits", type=bounded_int(1, MAX_PRINTED_DIGITS),
+            p.add_argument("--digits", type=digit_count,
                            help=f"decimal digits in rendered output "
                                 f"(default {DEFAULT_DIGITS})")
         if variant:
@@ -572,7 +575,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["sums", "chain", "polya"], default="sums")
     p.add_argument("--N", type=bounded_int(1), default=200)
     p.add_argument("--seq", type=parse_sequence)
-    p.add_argument("--scheme", choices=_SCHEMES)
+    p.add_argument("--scheme", choices=["polya", "refined", "simple"])
     p.add_argument("--format", choices=["text", "csv"], default="text")
 
     add("verify-all", cmd_verify_all, digits=False, variant=False,

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .algebra import Scalar, rat_str
+from .algebra import Scalar
 from .series import BoundSpec, Variant, classical_bracket, lower_bound, upper_bound
 
 DEFAULT_WIDTH = Fraction(1, 10**30)
@@ -107,9 +107,6 @@ class RatInterval:
         if lo > hi:
             raise SoundnessError("intersection of disjoint enclosures (soundness bug)")
         return RatInterval(lo, hi)
-
-    def to_strings(self) -> tuple[str, str]:
-        return rat_str(self.lo), rat_str(self.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> RatInte
 
 # Cached: convergence_table evaluates the pairs on every row.
 @functools.cache
-def _sandwich_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
+def sandwich_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
     """Unreduced (N, D) of the lower and the upper side: from the bounds'
     integer polynomials a = P_a/Q_a, b = P_b/Q_b, the side (n+1) a(n) - n b(n-1)
     is ((n+1) P_a Q_b(n-1) - n P_b(n-1) Q_a) / (Q_a Q_b(n-1))."""
@@ -63,7 +63,7 @@ def sandwich_bounds(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction,
     if n < 2:
         raise ValueError("the sandwich needs n >= 2 (it evaluates the bounds at n-1)")
     low, high = (Fraction(_integer_horner(num, n), _integer_horner(den, n))
-                 for num, den in _sandwich_sides(variant))
+                 for num, den in sandwich_sides(variant))
     if not low < high:
         raise ArithmeticError(f"sandwich sides out of order at n={n}")
     return low, high
@@ -95,7 +95,7 @@ def sandwich_limits(variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fractio
     """
     n2 = Poly((0, 0, 1))
     limits, rates = [], []
-    for num, den in _sandwich_sides(variant):
+    for num, den in sandwich_sides(variant):
         limits.append(_leading_ratio(num, den))
         rates.append(_leading_ratio((num - den * limits[-1]) * n2, den))
     if limits[0] != limits[1]:
@@ -134,7 +134,7 @@ def display_forms(variant: Variant = Variant.DEDUP) -> list[DisplayForm]:
     rate expressions n^2(side - 1) over the same shape with smaller powers
     of n and n-1.
     """
-    (low, low_den), (high, high_den) = _sandwich_sides(variant)
+    (low, low_den), (high, high_den) = sandwich_sides(variant)
     n2 = Poly((0, 0, 1))
     items = [
         ("sandwich lower", low, low_den, _display_denominator(5, 6)),

@@ -402,12 +402,13 @@ class TestDeterminism:
         assert run("check") == run("check", "--n", "1..20")
 
 
-def fresh_python(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+def fresh_python(*args: str, timeout: float = 60, **env: str) -> subprocess.CompletedProcess:
     """``python *args`` in a new interpreter that imports this checkout's
-    eulerbounds; outlasting the timeout fails the test instead of hanging it."""
+    eulerbounds, with ``env`` added to the environment; outlasting the
+    timeout fails the test instead of hanging it."""
     src = str(Path(eulerbounds.__file__).resolve().parent.parent)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=timeout, env=dict(os.environ, PYTHONPATH=src))
+                          timeout=timeout, env=dict(os.environ, PYTHONPATH=src, **env))
 
 
 def test_only_the_csv_formats_load_csv():
@@ -529,7 +530,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, flag", [
         (("carleman", "--mode", "polya", "--N", "2000"), "--N"),
-        (("carleman", "--mode", "polya", "--N", "1001"), "--N"),
+        # 1372^1371 has 4302 digits
+        (("carleman", "--mode", "polya", "--N", "1371"), "--N"),
         (("carleman", "--mode", "polya", "--N", str(10**20)), "--N"),
         (("check", "--digits", "5000"), "--digits"),
         (("keller", "--digits", "5000"), "--digits"),
@@ -584,8 +586,8 @@ class TestUsageErrors:
         assert "--n" in capsys.readouterr().err
 
     def test_largest_printable_sizes_still_print(self):
-        # 1000 * len("1001") = 4000: (1001)^1000 has 3001 digits
-        code, out = run("carleman", "--mode", "polya", "--N", "1000")
+        # 1371^1370 has 4298 digits
+        code, out = run("carleman", "--mode", "polya", "--N", "1370")
         assert code == EXIT_OK and len(out.splitlines()) == 3
         code, out = run("optimize", "--digits", "4000")
         assert code == EXIT_OK and len(out) > 4000
@@ -602,15 +604,48 @@ class TestUsageErrors:
                         "--format", "csv", "--N", "42")
         assert code == EXIT_OK and f",1/1{'0' * 4200}," in out.splitlines()[42]
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_check_tests_every_index_that_can_reach_the_limit(self, variant):
-        # below CHECK_DIGITS_FROM, |P(n)| and Q(n) stay under the sum of the
-        # absolute coefficients times n^degree, and reducing P(n)/Q(n) only
-        # shrinks them
-        for bound in (lower_bound(), upper_bound(variant), *classical_bracket()):
-            for p in bound.polynomials():
-                assert (sum(abs(c) for c in p.coeffs) * cli.CHECK_DIGITS_FROM ** p.degree()
-                        < 10**4295)
+    @pytest.mark.parametrize("limit", [4300, 640])
+    def test_indices_below_the_derived_index_print(self, limit, digit_limit):
+        # the first index tested is 10^((L - digits(S)) // d) at the tightest
+        # polynomial: below it |P(n)| <= S n^d < 10^L, S the absolute
+        # coefficient sum and d the degree
+        digit_limit(limit)
+
+        def exact(bounds):
+            return ([p for b in bounds for p in b.polynomials()],
+                    lambda n: [b.eval(n) for b in bounds])
+
+        def rates(variant):
+            # n^2 (N - D) / D, evaluated whole: the as-written sides cross
+            pairs = [((num - den) * Poly((0, 0, 1)), den)
+                     for num, den in keller.sandwich_sides(variant)]
+            return ([p for pair in pairs for p in pair],
+                    lambda n: [at(top, n) / at(den, n) for top, den in pairs])
+
+        def at(p, n):
+            return sum(c * n**k for k, c in enumerate(p.coeffs))
+
+        groups = {"classic": exact(classical_bracket())}
+        for variant in Variant:
+            groups[f"certified {variant.value}"] = exact((lower_bound(), upper_bound(variant)))
+            groups[f"keller {variant.value}"] = rates(variant)
+        starts = {}
+        for name, (polys, values) in groups.items():
+            starts[name] = start = next(cli.indices_to_test(polys, [range(2, 10**limit)]))
+            sizes = [(sum(abs(c) for c in p.coeffs), p.degree()) for p in polys]
+            assert start == 10 ** min((limit - len(str(s))) // d for s, d in sizes)
+            assert all(s * start**d < 10**limit for s, d in sizes), name
+            assert all(map(cli.printable, values(start - 1))), name
+        if limit == 4300:
+            assert starts == {"classic": 10**4299,
+                              "certified as-written": 10**613, "certified dedup": 10**613,
+                              "keller as-written": 10**329, "keller dedup": 10**329}
+
+    def test_indices_to_test_skips_only_the_indices_below_the_derived_index(self):
+        polys = [p for b in (lower_bound(), upper_bound()) for p in b.polynomials()]
+        ranges = [range(1, 2001), range(10**613 - 2, 10**613 + 2), range(10**700, 10**700 + 1)]
+        assert list(cli.indices_to_test(polys, ranges)) == [10**613, 10**613 + 1, 10**700]
+        assert list(cli.indices_to_test(polys, ranges[:1])) == []
 
     def test_classic_target_is_refused_past_the_limit(self, capsys):
         import json
@@ -637,16 +672,6 @@ class TestUsageErrors:
         code, out = run("keller", "--n", str(10**390), "--width", "1e4000", *form)
         assert code == EXIT_UNDECIDED and len(out) > 2 * 4290
 
-    @pytest.mark.parametrize("variant", list(Variant))
-    def test_keller_tests_every_index_that_can_reach_the_limit(self, variant):
-        # below KELLER_DIGITS_FROM, n^2 (N - D) and D of each sandwich side
-        # stay under the sum of the absolute coefficients times n^degree
-        n2 = Poly((0, 0, 1))
-        for num, den in keller._sandwich_sides(variant):
-            for p in ((num - den) * n2, den):
-                assert (sum(abs(c) for c in p.coeffs) * cli.KELLER_DIGITS_FROM ** p.degree()
-                        < 10**4295)
-
     @pytest.mark.parametrize("seq, largest", [
         ("geometric:1e-100", 42),  # 10^4200 < 10^4300
         ("geometric:1/3", 9012),  # 3^9012 < 10^4300 <= 3^9013
@@ -665,6 +690,108 @@ class TestUsageErrors:
             raise ArithmeticError("weight refused")
         monkeypatch.setattr(carleman, "telescoping_weight", fail)
         assert run("carleman", "--mode", "polya", "--N", "3") == (EXIT_FAIL, "")
+
+
+def argv_id(argv) -> str:
+    """A test id naming a long argument by its first digits and its length."""
+    return " ".join(a if len(a) <= 12 else f"{a[:3]}..({len(a)})" for a in argv)
+
+
+PRINTED_AT_640 = [
+    (("check", "--n", str(10**90)), EXIT_UNDECIDED, f"n={10**90}: undecided"),
+    (("check", "--target", "classic", "--n", str(5 * 10**639 - 2), "--format", "json"),
+     EXIT_UNDECIDED, "["),
+    (("keller", "--n", str(2 * 10**57), "--width", "1e4000", "--format", "json"),
+     EXIT_UNDECIDED, "["),
+    (("keller", "--n", str(2 * 10**57), "--width", "1e4000", "--format", "csv", "--exact"),
+     EXIT_UNDECIDED, "n,lo,hi,"),
+    (("carleman", "--mode", "polya", "--N", "264"), EXIT_OK, "(c_1...c_264)"),
+    (("carleman", "--seq", "geometric:1e-100", "--scheme", "polya", "--format", "csv",
+      "--N", "6"), EXIT_OK, "n,a_n,"),
+    (("optimize", "--digits", "640"), EXIT_OK, "a = 5/12"),
+]
+
+
+class TestDigitLimit:
+    """Every size refusal tests the exact values a command prints against the
+    interpreter's own integer digit limit, read at each call: 640 is the
+    lowest it takes, 0 sets none."""
+
+    @pytest.mark.parametrize("argv", [
+        # the bound values have 645 digits here and 638 at 10^90
+        ("check", "--n", str(10**91)),
+        ("check", "--target", "classic", "--n", str(5 * 10**639 - 1)),
+        ("keller", "--n", str(5 * 10**57), "--width", "1e4000", "--format", "json"),
+        ("keller", "--n", str(5 * 10**57), "--width", "1e4000", "--format", "csv",
+         "--exact"),
+        # 266^265 has 643 digits
+        ("carleman", "--mode", "polya", "--N", "265"),
+        ("carleman", "--seq", "geometric:1e-100", "--scheme", "polya", "--format", "csv",
+         "--N", "7"),
+        ("optimize", "--digits", "641"),
+    ], ids=argv_id)
+    def test_refused_before_any_work_at_the_lowest_limit(self, argv, digit_limit, capsys):
+        digit_limit(640)
+        start = time.perf_counter()
+        assert run(*argv) == (EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith("usage error")
+
+    @pytest.mark.parametrize("argv, code, head", PRINTED_AT_640,
+                             ids=[argv_id(argv) for argv, _, _ in PRINTED_AT_640])
+    def test_printed_up_to_the_lowest_limit(self, argv, code, head, digit_limit):
+        digit_limit(640)
+        got, out = run(*argv)
+        assert (got, out[:len(head)]) == (code, head)
+
+    def test_a_value_found_too_long_after_the_work_is_a_usage_error(self, digit_limit,
+                                                                      capsys):
+        # the as-written refutation's witness bound value has 2514 digits
+        digit_limit(640)
+        for form in ("text", "json"):
+            assert run("prove", "--bound", "v", "--variant", "as-written",
+                       "--format", form) == (EXIT_USAGE, "")
+            assert "more digits than this Python prints" in capsys.readouterr().err
+
+    def test_no_limit_refuses_nothing(self, digit_limit):
+        digit_limit(0)
+        code, out = run("carleman", "--mode", "polya", "--N", "1500")
+        assert code == EXIT_OK and len(out.splitlines()) == 3
+        code, out = run("check", "--n", str(10**614))
+        assert code == EXIT_UNDECIDED and out.startswith(f"n={10**614}: undecided")
+
+    @pytest.mark.parametrize("limit, argv, code", [
+        ("1000", ("check", "--n", str(10**200)), EXIT_USAGE),
+        ("1000", ("carleman", "--mode", "polya", "--N", "900"), EXIT_USAGE),
+        ("0", ("carleman", "--mode", "polya", "--N", "1500"), EXIT_OK),
+    ], ids=lambda item: argv_id(item) if isinstance(item, tuple) else None)
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no integer digit limit")
+    def test_the_environment_sets_the_limit(self, limit, argv, code):
+        proc = fresh_python("-m", "eulerbounds", *argv, timeout=10,
+                            PYTHONINTMAXSTRDIGITS=limit)
+        assert proc.returncode == code
+        assert (proc.stdout == "") == (code == EXIT_USAGE)
+
+    @pytest.mark.parametrize("form", [(), ("--format", "csv")], ids=["text", "csv"])
+    def test_decimals_print_whenever_their_integer_part_does(self, form):
+        # 2000 fraction digits after an integer part of 3001 digits
+        code, out = run("carleman", "--seq", "custom:1e3000", "--N", "1", "--scheme", "polya",
+                        "--digits", "2000", *form)
+        assert code == EXIT_OK and f"1{'0' * 3000}.{'0' * 2000}" in out
+
+    @pytest.mark.parametrize("seq", [
+        # a sum of more than 4300 digits
+        "custom:" + "9" * 4299 + "e4000",
+        # a ratio whose denominator has 4301 digits, named by the report
+        "geometric:0." + "9" * 300 + "e-4000",
+    ], ids=["sum", "ratio"])
+    def test_sums_report_too_long_to_print_is_refused_before_any_work(self, seq, capsys):
+        start = time.perf_counter()
+        assert run("carleman", "--seq", seq, "--N", "1", "--scheme", "polya") == (
+            EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert "more digits than this Python prints" in capsys.readouterr().err
 
 
 class TestEnclosureFailures:

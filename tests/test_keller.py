@@ -12,9 +12,9 @@ from eulerbounds.enclosure import RatInterval
 from eulerbounds import keller
 from eulerbounds.algebra import Poly
 from eulerbounds.keller import (DISPLAY_DENOMINATOR_CONSTANT, ConvergenceRow,
-                                DegreeMismatch, _leading_ratio, _sandwich_sides,
-                                convergence_table, display_forms, keller_term,
-                                sandwich_bounds, sandwich_limits)
+                                DegreeMismatch, _leading_ratio, convergence_table,
+                                display_forms, keller_term, sandwich_bounds,
+                                sandwich_limits, sandwich_sides)
 from eulerbounds.series import Variant, lower_bound, upper_bound
 
 X2 = F("1.01166846322146638438769036794401738547598061")  # (11/4)/e
@@ -82,7 +82,7 @@ class TestSymbolicLimits:
         assert sandwich_limits(variant) == (1, F(1, 24))
 
     def test_sandwich_ratfunc_degrees(self):
-        (low, low_den), (high, high_den) = _sandwich_sides(Variant.DEDUP)
+        (low, low_den), (high, high_den) = sandwich_sides(Variant.DEDUP)
         assert low.degree() == low_den.degree()
         assert high.degree() == high_den.degree()
 

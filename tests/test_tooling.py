@@ -1,6 +1,7 @@
 """Repository checks: no floating point in the library, no public library
 code that only the tests use, no library module importing another's
-private names, rational functions only in algebra and the prover, and the
+private names, rational functions only in algebra and the prover, one
+reader of the integer digit limit and no hand-sized thresholds, and the
 benchmark tracer still finds every name it wraps."""
 
 import ast
@@ -163,6 +164,50 @@ def test_ratfunc_serves_only_the_prover():
     users = {path.name for path in LIBRARY
              if any(name == "RatFunc" for name, _ in name_uses(ast.parse(path.read_text())))}
     assert users == {"algebra.py", "prover.py"}
+
+
+def limit_readers(path: Path) -> list[str]:
+    """"file:owner" for every use of get_int_max_str_digits in one source
+    file, owner the enclosing top-level function or class, or <module>."""
+    found = []
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = getattr(node, "name", "<module>")
+        found += [f"{path.name}:{owner}" for name, _ in name_uses(node)
+                  if name == "get_int_max_str_digits"]
+    return found
+
+
+def test_only_printable_reads_the_digit_limit():
+    # every size refusal asks cli.printable, so the limit has one reader
+    assert [found for path in LIBRARY for found in limit_readers(path)] == [
+        "cli.py:printable"]
+
+
+def large_constants(path: Path) -> list[str]:
+    """Every integer literal above 10^100, and every power with a literal
+    exponent above 100, in one source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value > 10**100:
+            found.append(f"{path.name}:{node.lineno}: literal")
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.Constant) and type(node.right.value) is int
+              and node.right.value > 100):
+            found.append(f"{path.name}:{node.lineno}: **{node.right.value}")
+    return found
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.name)
+def test_no_hand_sized_thresholds_in_the_library(path):
+    # size thresholds are derived from the polynomials and the digit limit
+    assert large_constants(path) == []
+
+
+def test_large_constant_scan_sees_literals_and_powers(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(f"a = {10**101}\nb = 10**612\nc = 10**100\nd = 2**64\ne = x**200\n")
+    assert [f.split(": ")[1] for f in large_constants(sample)] == [
+        "literal", "**612", "**200"]
 
 
 def load_tracer():
