@@ -604,42 +604,45 @@ class TestUsageErrors:
                         "--format", "csv", "--N", "42")
         assert code == EXIT_OK and f",1/1{'0' * 4200}," in out.splitlines()[42]
 
-    @pytest.mark.parametrize("limit", [4300, 640])
-    def test_indices_below_the_derived_index_print(self, limit, digit_limit):
+    @staticmethod
+    def starts_below_which_all_print(groups, digit_limit):
         # the first index tested is 10^((L - digits(S)) // d) at the tightest
         # polynomial: below it |P(n)| <= S n^d < 10^L, S the absolute
-        # coefficient sum and d the degree
-        digit_limit(limit)
+        # coefficient sum and d the degree; each group is (polys, values at n)
+        starts = {}
+        for limit in (640, 4300):
+            digit_limit(limit)
+            for name, (polys, values) in groups.items():
+                starts[name] = start = next(cli.indices_to_test(polys, [range(2, 10**limit)]))
+                sizes = [(sum(abs(c) for c in p.coeffs), p.degree()) for p in polys]
+                assert start == 10 ** min((limit - len(str(s))) // d for s, d in sizes)
+                assert all(s * start**d < 10**limit for s, d in sizes), (name, limit)
+                assert all(map(cli.printable, values(start - 1))), (name, limit)
+        return starts
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_check_tests_every_index_that_can_reach_the_limit(self, variant, digit_limit):
         def exact(bounds):
             return ([p for b in bounds for p in b.polynomials()],
                     lambda n: [b.eval(n) for b in bounds])
 
-        def rates(variant):
-            # n^2 (N - D) / D, evaluated whole: the as-written sides cross
-            pairs = [((num - den) * Poly((0, 0, 1)), den)
-                     for num, den in keller.sandwich_sides(variant)]
-            return ([p for pair in pairs for p in pair],
-                    lambda n: [at(top, n) / at(den, n) for top, den in pairs])
+        groups = {"classic": exact(classical_bracket()),
+                  "certified": exact((lower_bound(), upper_bound(variant)))}
+        assert self.starts_below_which_all_print(groups, digit_limit) == {
+            "classic": 10**4299, "certified": 10**613}
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_keller_tests_every_index_that_can_reach_the_limit(self, variant, digit_limit):
+        # n^2 (N - D) / D, evaluated whole: the as-written sides cross
+        pairs = [((num - den) * Poly((0, 0, 1)), den)
+                 for num, den in keller.sandwich_sides(variant)]
 
         def at(p, n):
             return sum(c * n**k for k, c in enumerate(p.coeffs))
 
-        groups = {"classic": exact(classical_bracket())}
-        for variant in Variant:
-            groups[f"certified {variant.value}"] = exact((lower_bound(), upper_bound(variant)))
-            groups[f"keller {variant.value}"] = rates(variant)
-        starts = {}
-        for name, (polys, values) in groups.items():
-            starts[name] = start = next(cli.indices_to_test(polys, [range(2, 10**limit)]))
-            sizes = [(sum(abs(c) for c in p.coeffs), p.degree()) for p in polys]
-            assert start == 10 ** min((limit - len(str(s))) // d for s, d in sizes)
-            assert all(s * start**d < 10**limit for s, d in sizes), name
-            assert all(map(cli.printable, values(start - 1))), name
-        if limit == 4300:
-            assert starts == {"classic": 10**4299,
-                              "certified as-written": 10**613, "certified dedup": 10**613,
-                              "keller as-written": 10**329, "keller dedup": 10**329}
+        groups = {"keller": ([p for pair in pairs for p in pair],
+                             lambda n: [at(top, n) / at(den, n) for top, den in pairs])}
+        assert self.starts_below_which_all_print(groups, digit_limit) == {"keller": 10**329}
 
     def test_indices_to_test_skips_only_the_indices_below_the_derived_index(self):
         polys = [p for b in (lower_bound(), upper_bound()) for p in b.polynomials()]
