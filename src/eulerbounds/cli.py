@@ -8,11 +8,11 @@ byte-identical bytes) and exits with
     2  inconclusive / undecided,
     64 usage error.
 
-Usage errors are found while parsing, before any work: each flag's
-argparse type checks its value, and a handler checks only what depends
-on more than one flag, or whether output prints (``printable``), which
-is otherwise found after the work.  After that the exception type alone
-sets the exit code: an exhausted refinement exits 2, any other failure 1.
+Usage errors are found before any work: argparse types check each flag's
+value, ``main`` refuses what ``MODES`` says a mode does not take, and a
+handler checks only what depends on the data (--N against custom terms,
+``printable`` output, else found after the work).  Then the exception type
+alone sets the exit code: an exhausted refinement exits 2, any other failure 1.
 
 Decimal renderings never overstate precision: plain rationals are
 truncated toward zero and printed next to their exact value, interval
@@ -47,8 +47,8 @@ MAX_INDICES = 10**5
 # expand --bound v --order 400 takes about 1 s, and the cost grows as the
 # order cubed, so a higher order is refused before any work
 MAX_ORDER = 400
-# --digits defaults to None, so that modes printing no decimals can refuse it
-DEFAULT_DIGITS = 12
+# --digits and --variant are None until main fills these in, so MODES can refuse them
+DEFAULTS = {"digits": 12, "variant": "dedup"}
 
 
 class UsageError(Exception):
@@ -206,26 +206,12 @@ def parse_sequence(text: str):
                                      "(use geometric:R, powerlaw:P, custom:a1,a2,...)")
 
 
-def _variant(args):
-    from .series import Variant
-    return Variant(args.variant or Variant.DEDUP.value)
-
-
 def _bound(args):
     """The --bound named; only the upper bound v reads --variant."""
-    from .series import bare_optimal_bound, lower_bound, upper_bound
+    from .series import Variant, bare_optimal_bound, lower_bound, upper_bound
     if args.bound == "v":
-        return upper_bound(_variant(args))
-    _refuse_unread(args, f"--bound {args.bound}", "variant")
+        return upper_bound(Variant(args.variant))
     return lower_bound() if args.bound == "u" else bare_optimal_bound()
-
-
-def _refuse_unread(args, mode: str, *flags: str) -> None:
-    """Flags default to None where some mode does not read them; refuse
-    any that ``mode`` would silently ignore."""
-    for flag in flags:
-        if getattr(args, flag) is not None:
-            raise UsageError(f"{mode} does not read --{flag}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +222,6 @@ def _refuse_unread(args, mode: str, *flags: str) -> None:
 def cmd_expand(args, out) -> int:
     from .series import expand_bound_gap, expand_relative_error
     if args.bound is None:
-        _refuse_unread(args, "the symbolic expansion", "variant")
-        if args.order < 3:
-            raise UsageError("the symbolic expansion needs --order >= 3")
         w, l = expand_relative_error(args.order)
         out.write("relative error expansion in t = 1/n over Q[a,b]\n")
         for k in range(1, args.order + 1):
@@ -261,7 +244,7 @@ def cmd_optimize(args, out) -> int:
     out.write(f"b = {rat_str(got.b)}\n")
     residual = got.residual_third_coefficient
     out.write(f"residual t^3 coefficient = {rat_str(residual)} "
-              f"({dec_trunc(residual, args.digits or DEFAULT_DIGITS)})\n")
+              f"({dec_trunc(residual, args.digits)})\n")
     return EXIT_OK
 
 
@@ -305,17 +288,13 @@ def cmd_prove(args, out) -> int:
 
 def cmd_check(args, out) -> int:
     from .enclosure import check_certified_at, check_classic_at
-    from .series import classical_bracket, lower_bound, upper_bound
+    from .series import Variant, classical_bracket, lower_bound, upper_bound
     if args.target == "classic":
-        _refuse_unread(args, "--target classic", "variant")
         bounds, check = classical_bracket(), check_classic_at
     else:
-        variant = _variant(args)
+        variant = Variant(args.variant)
         bounds = (lower_bound(), upper_bound(variant))
         check = functools.partial(check_certified_at, variant=variant)
-    if args.format == "json":
-        _refuse_unread(args, "--format json", "digits")
-    digits = args.digits or DEFAULT_DIGITS
     polys = [p for b in bounds for p in b.polynomials()]
     if not all(printable(b.eval(n)) for n in indices_to_test(polys, args.n)
                for b in bounds):
@@ -336,7 +315,7 @@ def cmd_check(args, out) -> int:
         side = f"({res.side})" if res.side else ""
         out.write(f"n={res.n}: {res.status}{side}  bounds [{rat_str(res.lower_value)}, "
                   f"{rat_str(res.upper_value)}]  enclosure "
-                  f"{fmt_interval(res.enclosure, digits)}\n")
+                  f"{fmt_interval(res.enclosure, args.digits)}\n")
     return worst
 
 
@@ -357,15 +336,9 @@ _CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"
 def cmd_keller(args, out) -> int:
     from . import keller as kel
     from .algebra import Poly
-    if args.symbolic and args.format != "text":
-        raise UsageError("--symbolic writes text only")
-    if args.exact and args.format != "csv":
-        raise UsageError("--exact needs --format csv")
-    if args.exact or args.format == "json":
-        _refuse_unread(args, "--exact" if args.exact else "--format json", "digits")
-    variant, digits = _variant(args), args.digits or DEFAULT_DIGITS
+    from .series import Variant
+    variant, digits = Variant(args.variant), args.digits
     if args.symbolic:
-        _refuse_unread(args, "--symbolic", "n", "width")
         limit, rate = kel.sandwich_limits(variant)
         out.write(f"sandwich limit = {rat_str(limit)}, "
                   f"n^2 rate = {rat_str(rate)} ({dec_trunc(rate, digits)})\n")
@@ -423,10 +396,8 @@ def cmd_keller(args, out) -> int:
 def cmd_carleman(args, out) -> int:
     from . import carleman as carl
     from .enclosure import DEFAULT_WIDTH, RatInterval
-    if args.mode != "sums" and args.format != "text":
-        raise UsageError(f"--mode {args.mode} writes text only")
+    from .series import Variant
     if args.mode == "polya":
-        _refuse_unread(args, "--mode polya", "variant", "seq", "scheme", "digits")
         n = args.N
         if not printable(Fraction(n + 1, n), n):
             raise UsageError(f"--N {n} would print (N+1)^N with {TOO_LONG}")
@@ -436,10 +407,8 @@ def cmd_carleman(args, out) -> int:
         out.write(f"effective weight c_{n} x_{n} = "
                   f"{rat_str(carl.telescoping_weight(n) * tail)}\n")
         return EXIT_OK
-    variant = _variant(args)
     if args.mode == "chain":
-        _refuse_unread(args, "--mode chain", "seq", "scheme", "digits")
-        report = carl.termwise_weight_chain(args.N, variant)
+        report = carl.termwise_weight_chain(args.N, Variant(args.variant))
         for name, idx in report.first_failures:
             out.write(f"link {name}: "
                       f"{'ok' if idx is None else f'first failure at n={idx}'}\n")
@@ -451,12 +420,9 @@ def cmd_carleman(args, out) -> int:
     seq = args.seq or carl.TestSequence.geometric(Fraction(1, 2))
     if seq.values is not None and args.N > len(seq.values):
         raise UsageError(f"--N {args.N} exceeds the {len(seq.values)} custom terms")
-    if args.scheme in ("polya", "simple"):
-        _refuse_unread(args, f"--scheme {args.scheme}", "variant")
-        scheme = getattr(carl.WeightScheme, args.scheme)()
-    else:
-        scheme = carl.WeightScheme.refined(variant)
-    digits = args.digits or DEFAULT_DIGITS
+    scheme = (getattr(carl.WeightScheme, args.scheme)() if args.scheme in ("polya", "simple")
+              else carl.WeightScheme.refined(Variant(args.variant)))
+    digits = args.digits
     if args.format == "csv" and not terms_printable(seq, args.N):
         raise UsageError(f"--N {args.N} would print an a_n with {TOO_LONG}")
     # the report names r or p; sums stay below 3 N max a_n: weights < e, means <= max a_n
@@ -534,7 +500,7 @@ def build_parser() -> _Parser:
         if digits:
             p.add_argument("--digits", type=digit_count,
                            help=f"decimal digits in rendered output "
-                                f"(default {DEFAULT_DIGITS})")
+                                f"(default {DEFAULTS['digits']})")
         if variant:
             p.add_argument("--variant", choices=["as-written", "dedup"],
                            help="doubled or single 1/x^5 correction in the upper bound")
@@ -583,11 +549,49 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The modes of each command: one flag's parsed values ("True": a switch given,
+# "None": left out), the flags they do not read, the one format they write ("":
+# any), a bound on another flag and, if not "--flag value", their refusals' name.
+# The --N caps take about 1 s, as MAX_ORDER does (polya with no digit limit).
+MODES = {
+    "expand": [("bound", "None", "variant", "", "--order >= 3", "the symbolic expansion"),
+               ("bound", "u bare", "variant", "", "")],
+    "prove": [("bound", "u bare", "variant", "", "")],
+    "check": [("target", "classic", "variant", "", ""), ("format", "json", "digits", "", "")],
+    "keller": [("symbolic", "True", "n width", "text", ""),
+               ("exact", "True", "digits", "csv", ""), ("format", "json", "digits", "", "")],
+    "carleman": [("mode", "chain", "seq scheme digits", "text", "--N <= 50000"),
+                 ("mode", "polya", "variant seq scheme digits", "text", "--N <= 30000"),
+                 ("scheme", "polya simple", "variant", "", "")],
+}
+
+
+def refuse_modes(args) -> None:
+    """Refuses, in MODES order, what a mode that ``args`` select does not take."""
+    for flag, values, unread, fmt, bound, *name in MODES.get(args.command, ()):
+        value = str(getattr(args, flag))
+        if value not in values.split():
+            continue
+        name = name[0] if name else f"--{flag}" if value == "True" else f"--{flag} {value}"
+        if fmt and args.format != fmt:
+            raise UsageError(f"{name} writes text only" if fmt == "text"
+                             else f"{name} needs --format {fmt}")
+        for other in unread.split():
+            if getattr(args, other) is not None:
+                raise UsageError(f"{name} does not read --{other}")
+        if bound:
+            other, op, limit = bound.split()
+            if (getattr(args, other[2:]) - int(limit)) * (1 if op == ">=" else -1) < 0:
+                raise UsageError(f"{name} needs {bound}")
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        refuse_modes(args)
+        vars(args).update((k, v) for k, v in DEFAULTS.items() if vars(args).get(k, v) is None)
         # written only once the handler returns: a failure prints nothing
         buf = io.StringIO()
         code = args.fn(args, buf)

@@ -461,6 +461,41 @@ def test_each_command_loads_only_its_layers(argv, layers):
         ["eulerbounds", "eulerbounds.cli"] + [f"eulerbounds.{m}" for m in layers])
 
 
+# (argv, the mode refused, the flag it does not read)
+UNREAD = [
+    (("keller", "--symbolic", "--n", "5", "--width", "1e-3"), "--symbolic", "--n"),
+    (("keller", "--symbolic", "--width", "1e-3"), "--symbolic", "--width"),
+    (("carleman", "--mode", "chain", "--N", "3", "--seq", "geometric:1/3",
+      "--scheme", "polya"), "--mode chain", "--seq"),
+    (("carleman", "--mode", "chain", "--N", "3", "--scheme", "polya"), "--mode chain",
+     "--scheme"),
+    (("carleman", "--mode", "polya", "--N", "3", "--variant", "as-written"), "--mode polya",
+     "--variant"),
+    (("check", "--target", "classic", "--n", "1", "--variant", "as-written"),
+     "--target classic", "--variant"),
+    (("expand", "--variant", "dedup"), "the symbolic expansion", "--variant"),
+    (("expand", "--bound", "u", "--variant", "as-written"), "--bound u", "--variant"),
+    (("expand", "--bound", "bare", "--variant", "dedup"), "--bound bare", "--variant"),
+    (("prove", "--bound", "u", "--variant", "as-written"), "--bound u", "--variant"),
+    (("prove", "--bound", "bare", "--variant", "dedup"), "--bound bare", "--variant"),
+    (("carleman", "--N", "3", "--scheme", "polya", "--variant", "dedup"), "--scheme polya",
+     "--variant"),
+    (("carleman", "--N", "3", "--scheme", "simple", "--variant", "dedup"), "--scheme simple",
+     "--variant"),
+    (("carleman", "--mode", "chain", "--N", "3", "--digits", "5"), "--mode chain", "--digits"),
+    (("carleman", "--mode", "polya", "--N", "3", "--digits", "5"), "--mode polya", "--digits"),
+    (("check", "--n", "2", "--format", "json", "--digits", "5"), "--format json", "--digits"),
+    (("keller", "--n", "10", "--format", "json", "--digits", "5"), "--format json",
+     "--digits"),
+    (("keller", "--n", "10", "--format", "csv", "--exact", "--digits", "5"), "--exact",
+     "--digits"),
+    (("carleman", "--mode", "polya", "--N", "3", "--seq", "geometric:1/3"), "--mode polya",
+     "--seq"),
+    (("carleman", "--mode", "polya", "--N", "3", "--scheme", "simple"), "--mode polya",
+     "--scheme"),
+]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("nonsense",),
@@ -498,35 +533,32 @@ class TestUsageErrors:
         assert main(list(argv), out=io.StringIO()) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, flag", [
-        (("keller", "--symbolic", "--n", "5", "--width", "1e-3"), "--n"),
-        (("keller", "--symbolic", "--width", "1e-3"), "--width"),
-        (("carleman", "--mode", "chain", "--N", "3", "--seq", "geometric:1/3",
-          "--scheme", "polya"), "--seq"),
-        (("carleman", "--mode", "chain", "--N", "3", "--scheme", "polya"), "--scheme"),
-        (("carleman", "--mode", "polya", "--N", "3", "--variant", "as-written"),
-         "--variant"),
-        (("check", "--target", "classic", "--n", "1", "--variant", "as-written"),
-         "--variant"),
-        (("expand", "--variant", "dedup"), "--variant"),
-        (("expand", "--bound", "u", "--variant", "as-written"), "--variant"),
-        (("expand", "--bound", "bare", "--variant", "dedup"), "--variant"),
-        (("prove", "--bound", "u", "--variant", "as-written"), "--variant"),
-        (("prove", "--bound", "bare", "--variant", "dedup"), "--variant"),
-        (("carleman", "--N", "3", "--scheme", "polya", "--variant", "dedup"),
-         "--variant"),
-        (("carleman", "--N", "3", "--scheme", "simple", "--variant", "dedup"),
-         "--variant"),
-        (("carleman", "--mode", "chain", "--N", "3", "--digits", "5"), "--digits"),
-        (("carleman", "--mode", "polya", "--N", "3", "--digits", "5"), "--digits"),
-        (("check", "--n", "2", "--format", "json", "--digits", "5"), "--digits"),
-        (("keller", "--n", "10", "--format", "json", "--digits", "5"), "--digits"),
-        (("keller", "--n", "10", "--format", "csv", "--exact", "--digits", "5"),
-         "--digits"),
-    ])
-    def test_unread_flag_is_refused(self, argv, flag, capsys):
+    @pytest.mark.parametrize("argv, mode, flag", UNREAD,
+                             ids=[f"argv{i}-{flag}" for i, (_, _, flag) in enumerate(UNREAD)])
+    def test_unread_flag_is_refused(self, argv, mode, flag, capsys):
         assert run(*argv) == (EXIT_USAGE, "")
-        assert f"does not read {flag}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"usage error: {mode} does not read {flag}\n"
+
+    @pytest.mark.parametrize("mode, cap", [("chain", 50_000), ("polya", 30_000)])
+    def test_n_past_the_cap_is_refused_before_any_work(self, mode, cap, digit_limit, capsys):
+        # with no digit limit, nothing but the cap refuses polya's (N+1)^N
+        for limit in (sys.int_info.default_max_str_digits, 0):
+            digit_limit(limit)
+            for n in (cap + 1, 10**20):
+                start = time.perf_counter()
+                assert run("carleman", "--mode", mode, "--N", str(n)) == (EXIT_USAGE, "")
+                assert time.perf_counter() - start < 1
+                assert capsys.readouterr().err == (
+                    f"usage error: --mode {mode} needs --N <= {cap}\n")
+
+    @pytest.mark.parametrize("mode, cap, last", [
+        ("chain", 50_000, "chain N=50000 variant=dedup: passed"),
+        ("polya", 30_000, "effective weight c_30000 x_30000 = "),
+    ], ids=["chain", "polya"])
+    def test_n_at_the_cap_prints(self, mode, cap, last, digit_limit):
+        digit_limit(0)
+        code, out = run("carleman", "--mode", mode, "--N", str(cap))
+        assert code == EXIT_OK and out.splitlines()[-1].startswith(last)
 
     @pytest.mark.parametrize("argv, flag", [
         (("carleman", "--mode", "polya", "--N", "2000"), "--N"),
@@ -767,6 +799,7 @@ class TestDigitLimit:
         ("1000", ("check", "--n", str(10**200)), EXIT_USAGE),
         ("1000", ("carleman", "--mode", "polya", "--N", "900"), EXIT_USAGE),
         ("0", ("carleman", "--mode", "polya", "--N", "1500"), EXIT_OK),
+        ("0", ("carleman", "--mode", "polya", "--N", str(10**20)), EXIT_USAGE),
     ], ids=lambda item: argv_id(item) if isinstance(item, tuple) else None)
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="this Python has no integer digit limit")

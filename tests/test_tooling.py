@@ -1,9 +1,11 @@
 """Repository checks: no floating point in the library, no public library
 code that only the tests use, no library module importing another's
 private names, rational functions only in algebra and the prover, one
-reader of the integer digit limit and no hand-sized thresholds, and the
-benchmark tracer still finds every name it wraps."""
+reader of the integer digit limit and no hand-sized thresholds, a CLI
+modes table that agrees with the parser, and the benchmark tracer still
+finds every name it wraps."""
 
+import argparse
 import ast
 import importlib.util
 import sys
@@ -208,6 +210,73 @@ def test_large_constant_scan_sees_literals_and_powers(tmp_path):
     sample.write_text(f"a = {10**101}\nb = 10**612\nc = 10**100\nd = 2**64\ne = x**200\n")
     assert [f.split(": ")[1] for f in large_constants(sample)] == [
         "literal", "**612", "**200"]
+
+
+def command_parsers() -> dict[str, argparse.ArgumentParser]:
+    from eulerbounds import cli
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def modes_table_mismatches(modes: dict) -> list[str]:
+    """Every flag, selecting value, format and bound of a MODES-shaped table
+    that its command's parser does not define; an unread flag must default
+    to None, or its presence could not be seen."""
+    found = []
+    parsers = command_parsers()
+    for command, rows in modes.items():
+        actions = {action.dest: action for action in parsers[command]._actions}
+        for flag, values, unread, fmt, bound, *_ in rows:
+            action = actions.get(flag)
+            allowed = (set() if action is None else
+                       {str(v) for v in (*(action.choices or [action.const]), action.default)})
+            found += [f"{command} --{flag} {v}" for v in values.split() if v not in allowed]
+            found += [f"{command} unread --{f}" for f in unread.split()
+                      if f not in actions or actions[f].default is not None]
+            if fmt and fmt not in actions["format"].choices:
+                found.append(f"{command} format {fmt}")
+            if bound:
+                other, op, limit = bound.split()
+                if other[2:] not in actions or op not in (">=", "<=") or not limit.isdigit():
+                    found.append(f"{command} bound {bound}")
+    return found
+
+
+def test_modes_table_names_what_the_parser_defines():
+    from eulerbounds import cli
+    assert modes_table_mismatches(cli.MODES) == []
+
+
+def test_modes_scan_sees_misspelt_entries():
+    rows = [("mode", "chian", "seq", "text", "--N <= 5"), ("mode", "polya", "sequence", "", ""),
+            ("mode", "sums", "N", "json", "--M <= 5"), ("exact", "True", "", "", ""),
+            ("bound", "None", "variant", "", "")]
+    assert modes_table_mismatches({"carleman": rows[:3], "keller": rows[3:4],
+                                   "prove": rows[4:]}) == [
+        "carleman --mode chian", "carleman unread --sequence", "carleman unread --N",
+        "carleman format json", "carleman bound --M <= 5", "prove --bound None"]
+
+
+def args_reads(function: ast.FunctionDef) -> set[str]:
+    """The attributes read off ``args`` in one function."""
+    return {node.attr for node in ast.walk(function) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_each_command_reads_exactly_the_flags_its_parser_defines():
+    # a flag nothing reads would be silently ignored; the handler's helpers
+    # that take ``args`` (such as _bound) read for it
+    tree = ast.parse((ROOT / "src" / "eulerbounds" / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    helpers = {name for name, f in functions.items()
+               if f.args.args and f.args.args[0].arg == "args"}
+    for command, parser in command_parsers().items():
+        handler = functions[parser.get_default("fn").__name__]
+        called = helpers & {node.func.id for node in ast.walk(handler)
+                            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        reads = args_reads(handler).union(*(args_reads(functions[name]) for name in called))
+        flags = {action.dest for action in parser._actions if action.dest != "help"}
+        assert reads == flags, command
 
 
 def load_tracer():
