@@ -24,14 +24,15 @@ endpoints with the number of terms.  Those root brackets nest as the
 width shrinks, so lhs.hi <= rhs.lo at a coarse width holds at every
 finer one: ``verify-all`` decides its sums at 1e-12, while
 ``carleman_sums`` and the ``carleman`` command enclose at DEFAULT_WIDTH,
-the enclosure they print.
+the enclosure they print.  Each e-multiple is e's enclosure times an
+exact rational, so its width is relative and no sum is too large to decide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .enclosure import (DEFAULT_WIDTH, RatInterval, euler_number_interval,
                         normalized_below, nth_root_interval)
@@ -191,16 +192,14 @@ def weight_over_e(scheme: WeightScheme, n: int) -> Fraction:
     raise ValueError(f"{scheme.kind} weights are not rational multiples of e")
 
 
-def weight(scheme: WeightScheme, n: int,
-           width: Fraction = DEFAULT_WIDTH) -> Union[Fraction, RatInterval]:
-    """Effective weight for index n: exact for the telescoping family
-    ((1+1/n)^n as a rational), an e-interval multiple otherwise."""
+def weight(scheme: WeightScheme, n: int) -> RatInterval:
+    """Effective weight for index n: (1+1/n)^n as an exact point for the
+    telescoping family, otherwise e's enclosure times the exact weight/e."""
     if n < 1:
         raise ValueError("indices start at 1")
     if scheme.kind == "polya":
-        return Fraction((n + 1) ** n, n**n)
-    ratio = weight_over_e(scheme, n)
-    return euler_number_interval(width / (ratio + 1)).scale(ratio)
+        return RatInterval.point(Fraction((n + 1) ** n, n**n))
+    return euler_number_interval().scale(weight_over_e(scheme, n))
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +273,22 @@ def termwise_weight_chain(N: int, variant: Variant = Variant.DEDUP) -> ChainRepo
 # ---------------------------------------------------------------------------
 
 
-def geometric_mean_sum(seq: TestSequence, N: int,
-                       width: Fraction = DEFAULT_WIDTH) -> RatInterval:
-    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to the given width.
-
-    Each mean is enclosed to width/N by the floor and ceiling of its root
-    over a power of ten, or is an exact point.  Those brackets nest as the
-    width shrinks, so the sum at a coarser width contains the sum at any
-    finer one: a comparison its hi decides holds at every finer width.
+def geometric_means(seq: TestSequence, N: int,
+                    width: Fraction = DEFAULT_WIDTH) -> list[RatInterval]:
+    """Enclose each (a_1...a_n)^(1/n), n <= N, to width/N: an exact point or
+    the floor and ceiling of its root over a power of ten.  Those brackets
+    nest as the width shrinks, so their sum at a coarser width contains the
+    sum at any finer one, and a comparison its hi decides holds at all of them.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    per_term = width / N
-    lhs = RatInterval.point(0)
-    for n in range(1, N + 1):
-        lhs = lhs + seq.geometric_mean_enclosure(n, per_term)
-    return lhs
+    return [seq.geometric_mean_enclosure(n, width / N) for n in range(1, N + 1)]
+
+
+def geometric_mean_sum(seq: TestSequence, N: int,
+                       width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """Enclose lhs = sum_{n<=N} (a_1...a_n)^(1/n) to the given width."""
+    return sum(geometric_means(seq, N, width))
 
 
 def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval:
@@ -304,9 +303,8 @@ def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval
     term, 2 a_1, keeps about 40 digits however small the sequence.  The result is
     an exact point when every term is exact at that scale (a short
     decimal); an exact sum built from inexact terms comes back as a
-    bracket around it.  Simple and refined families: an e-interval
-    multiple of the exact rational sum of the weights over e, of width
-    DEFAULT_WIDTH.
+    bracket around it.  Simple and refined families: e's default enclosure
+    times the exact sum s of the weights over e, a width of 7.07e-35 s.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -324,7 +322,7 @@ def weighted_sum(seq: TestSequence, scheme: WeightScheme, N: int) -> RatInterval
     total = Fraction(0)
     for n in range(1, N + 1):
         total += weight_over_e(scheme, n) * seq.term(n)
-    return euler_number_interval(DEFAULT_WIDTH / (total + 1)).scale(total)
+    return euler_number_interval().scale(total)
 
 
 def carleman_sums(seq: TestSequence, scheme: WeightScheme,

@@ -335,7 +335,6 @@ _CONTAINED_TEXT = {"contained": "yes", "outside": "NO", "undecided": "undecided"
 
 def cmd_keller(args, out) -> int:
     from . import keller as kel
-    from .algebra import Poly
     from .series import Variant
     variant, digits = Variant(args.variant), args.digits
     if args.symbolic:
@@ -352,11 +351,10 @@ def cmd_keller(args, out) -> int:
         return EXIT_OK
     ns = [10, 100, 1000] if args.n is None else itertools.chain.from_iterable(args.n)
     if args.n is not None and (args.exact or args.format == "json"):
-        # these forms print the exact sandwich values n^2 (N - D) / D whole
-        polys = [p for num, den in kel.sandwich_sides(variant)
-                 for p in ((num - den) * Poly.x()**2, den)]
-        if not all(printable(n * n * (side - 1)) for n in indices_to_test(polys, args.n)
-                   for side in kel.sandwich_bounds(n, variant)):
+        # these forms print the exact sandwich rates n^2 (N - D) / D whole
+        polys = [p for pair in kel.rate_sides(variant) for p in pair]
+        if not all(printable(rate) for n in indices_to_test(polys, args.n)
+                   for rate in kel.sandwich_rates(n, variant)):
             raise UsageError(f"an --n index would print an exact value with {TOO_LONG}")
     rows = kel.convergence_table(ns, args.width or kel.DEFAULT_TABLE_WIDTH, variant)
     outcomes = {row.outcome for row in rows}
@@ -395,7 +393,6 @@ def cmd_keller(args, out) -> int:
 
 def cmd_carleman(args, out) -> int:
     from . import carleman as carl
-    from .enclosure import DEFAULT_WIDTH, RatInterval
     from .series import Variant
     if args.mode == "polya":
         n = args.N
@@ -430,19 +427,16 @@ def cmd_carleman(args, out) -> int:
     require_printable(seq.ratio or 0, seq.exponent or 0, 3 * args.N * top // 1)
     if args.format == "csv":
         # the rows' enclosures summed in order are geometric_mean_sum's lhs
-        per_term = DEFAULT_WIDTH / args.N
-        terms = [seq.geometric_mean_enclosure(n, per_term) for n in range(1, args.N + 1)]
-        lhs = sum(terms, RatInterval.point(0))
-        rhs = carl.weighted_sum(seq, scheme, args.N)
+        terms = carl.geometric_means(seq, args.N)
+        lhs, rhs = sum(terms), carl.weighted_sum(seq, scheme, args.N)
         writer = _csv_writer(out)
         writer.writerow(["n", "a_n", "lhs_term_lo", "lhs_term_hi",
                          "weight_lo", "weight_hi"])
         for n, term in enumerate(terms, 1):
             w = carl.weight(scheme, n)
-            w_lo, w_hi = (w, w) if isinstance(w, Fraction) else (w.lo, w.hi)
             writer.writerow([n, rat_str(seq.term(n)), dec_floor(term.lo, digits),
-                             dec_ceil(term.hi, digits), dec_floor(w_lo, digits),
-                             dec_ceil(w_hi, digits)])
+                             dec_ceil(term.hi, digits), dec_floor(w.lo, digits),
+                             dec_ceil(w.hi, digits)])
         writer.writerow(["total", "", dec_floor(lhs.lo, digits), dec_ceil(lhs.hi, digits),
                          dec_floor(rhs.lo, digits), dec_ceil(rhs.hi, digits)])
         return _sums_verdict(lhs, rhs)

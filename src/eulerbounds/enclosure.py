@@ -90,6 +90,8 @@ class RatInterval:
             return RatInterval(self.lo + other.lo, self.hi + other.hi)
         return RatInterval(self.lo + other, self.hi + other)
 
+    __radd__ = __add__  # so that sum() of intervals starts from 0
+
     def __neg__(self) -> "RatInterval":
         return RatInterval(-self.hi, -self.lo)
 

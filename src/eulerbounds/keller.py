@@ -8,10 +8,10 @@ certified bounds give the exact rational sandwich
 both sides rational functions of n.  Their common limit 1 recovers the
 classical limit of the unnormalized difference (e), and the common limit
 of n^2 (side - 1), namely 1/24, pins the second-order rate (e/24 before
-normalization).  This module builds each side as an unreduced pair of
-the bounds' integer polynomials, reads the limits off leading
-coefficients, divides out the published displays exactly, and checks
-rigorous numeric convergence tables for containment in the sandwich.
+normalization).  This module builds each side, and each rate, as an
+unreduced pair of the bounds' integer polynomials, reads the limits off
+leading coefficients, divides out the published displays exactly, and
+checks rigorous numeric convergence tables against the exact rates.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> RatInte
 # ---------------------------------------------------------------------------
 
 
-# Cached: convergence_table evaluates the pairs on every row.
 @functools.cache
 def sandwich_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
     """Unreduced (N, D) of the lower and the upper side: from the bounds'
@@ -58,19 +57,27 @@ def sandwich_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
                  for (p_a, q_a), (p_b, q_b) in ((u, v), (v, u)))
 
 
-def sandwich_bounds(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
-    """Exact rational sandwich values (lower, upper) at integer n >= 2."""
+# Cached: convergence_table evaluates the pairs on every row.
+@functools.cache
+def rate_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
+    """Unreduced (n^2 (N - D), D): the rates n^2 (side - 1) of both sides."""
+    n2 = Poly((0, 0, 1))
+    return tuple(((num - den) * n2, den) for num, den in sandwich_sides(variant))
+
+
+def sandwich_rates(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
+    """Exact n^2 (side - 1) of the lower and the upper side at integer n >= 2."""
     if n < 2:
         raise ValueError("the sandwich needs n >= 2 (it evaluates the bounds at n-1)")
     low, high = (Fraction(_integer_horner(num, n), _integer_horner(den, n))
-                 for num, den in sandwich_sides(variant))
+                 for num, den in rate_sides(variant))
     if not low < high:
         raise ArithmeticError(f"sandwich sides out of order at n={n}")
     return low, high
 
 
 def _integer_horner(p: Poly, n: int) -> int:
-    """p(n) in integers: a side's N and D have integer coefficients."""
+    """p(n) in integers: the sides and rates have integer coefficients."""
     acc = 0
     for c in reversed(p.coeffs):
         acc = acc * n + c.numerator
@@ -87,19 +94,16 @@ def _leading_ratio(num: Poly, den: Poly) -> Fraction:
 
 
 def sandwich_limits(variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
-    """(limit, rate): x_n -> limit and n^2 (x_n - limit) -> rate.
+    """(limit, rate): x_n -> limit and n^2 (x_n - 1) -> rate.
 
     Both sandwich sides must give the same leading-coefficient ratios;
     returns exactly (1, 1/24), i.e. the unnormalized difference tends to e
     with second-order rate e/24.
     """
-    n2 = Poly((0, 0, 1))
-    limits, rates = [], []
-    for num, den in sandwich_sides(variant):
-        limits.append(_leading_ratio(num, den))
-        rates.append(_leading_ratio((num - den * limits[-1]) * n2, den))
+    limits = [_leading_ratio(num, den) for num, den in sandwich_sides(variant)]
     if limits[0] != limits[1]:
         raise DegreeMismatch("sandwich sides disagree on the limit")
+    rates = [_leading_ratio(num, den) for num, den in rate_sides(variant)]
     if rates[0] != rates[1]:
         raise DegreeMismatch("sandwich sides disagree on the rate")
     return limits[0], rates[0]
@@ -134,16 +138,12 @@ def display_forms(variant: Variant = Variant.DEDUP) -> list[DisplayForm]:
     rate expressions n^2(side - 1) over the same shape with smaller powers
     of n and n-1.
     """
-    (low, low_den), (high, high_den) = sandwich_sides(variant)
-    n2 = Poly((0, 0, 1))
-    items = [
-        ("sandwich lower", low, low_den, _display_denominator(5, 6)),
-        ("sandwich upper", high, high_den, _display_denominator(6, 5)),
-        ("rate lower", (low - low_den) * n2, low_den, _display_denominator(3, 6)),
-        ("rate upper", (high - high_den) * n2, high_den, _display_denominator(4, 5)),
-    ]
     forms = []
-    for name, num, den, display in items:
+    for name, (num, den), powers in zip(
+            ("sandwich lower", "sandwich upper", "rate lower", "rate upper"),
+            sandwich_sides(variant) + rate_sides(variant),
+            ((5, 6), (6, 5), (3, 6), (4, 5))):
+        display = _display_denominator(*powers)
         top, rem = divmod(num * display, den)
         if rem:
             raise ValueError("denominator does not clear this rational function")
@@ -158,7 +158,7 @@ def display_forms(variant: Variant = Variant.DEDUP) -> list[DisplayForm]:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One row: rigorous enclosure of n^2 (x_n - 1) and the exact sandwich."""
+    """One row: rigorous enclosure of n^2 (x_n - 1) and the exact sandwich rates."""
 
     n: int
     rate: RatInterval
@@ -196,8 +196,5 @@ def convergence_table(ns: Iterable[int],
     for n in ns:
         term = keller_term(n, target_width / (n * n))
         rate = (term - 1).scale(n * n)
-        lo, hi = sandwich_bounds(n, variant)
-        rows.append(ConvergenceRow(n, rate,
-                                   Fraction(n * n) * (lo - 1),
-                                   Fraction(n * n) * (hi - 1)))
+        rows.append(ConvergenceRow(n, rate, *sandwich_rates(n, variant)))
     return rows

@@ -78,12 +78,13 @@ class TestWeights:
         assert all(epsilon_term(n, Variant.DEDUP) > 0 for n in range(2, 200))
 
     def test_polya_weight_exact(self):
-        assert weight(WeightScheme.polya(), 1) == 2
-        assert weight(WeightScheme.polya(), 3) == F(64, 27)
+        assert weight(WeightScheme.polya(), 1) == RatInterval.point(2)
+        assert weight(WeightScheme.polya(), 3) == RatInterval.point(F(64, 27))
 
     def test_interval_weights_contain_e_multiples(self):
-        w = weight(WeightScheme.simple(), 1, F(1, 10**25))
+        w = weight(WeightScheme.simple(), 1)
         assert w.lo < E_CONST * F(17, 23) < w.hi
+        assert w.width <= DEFAULT_WIDTH
 
 
 class TestWeightChain:
@@ -214,6 +215,14 @@ class TestCarlemanSums:
                 # e * sum a_n, the unimproved comparison point
                 classical = euler_number_interval(DEFAULT_WIDTH / (total + 1)).scale(total)
                 assert rhs.lo < classical.hi
+
+    @pytest.mark.parametrize("exponent", [500, 4000])
+    def test_rhs_width_is_relative_to_the_sum(self, exponent):
+        # an absolute 1e-30 would ask e for more stages than it has
+        total = F(17, 23) * 10**exponent
+        rhs = weighted_sum(TestSequence.custom([10**exponent]), WeightScheme.simple(), 1)
+        assert rhs.lo < E_CONST * total < (E_CONST + F(1, 10**44)) * total < rhs.hi
+        assert rhs.width / total < F(1, 10**30)
 
     @pytest.mark.parametrize("scheme", [WeightScheme.polya(),
                                         WeightScheme.simple(),

@@ -286,6 +286,32 @@ class TestCarlemanBytes:
         assert out.splitlines()[-1] == (
             "total,,1.292229421595,1.292229421596,1.665130214055,1.665130214056")
 
+    @pytest.mark.parametrize("seq, scheme, N", [
+        ("geometric:1/2", "refined", 200), ("powerlaw:2", "simple", 50),
+        ("geometric:7/16", "polya", 350), ("custom:1e500", "refined", 1),
+    ])
+    def test_csv_total_is_the_text_report(self, seq, scheme, N):
+        # at 40 digits a per-term width other than the text report's shows
+        argv = ("carleman", "--seq", seq, "--scheme", scheme, "--N", str(N), "--digits", "40")
+        code, text = run(*argv)
+        csv_code, csv = run(*argv, "--format", "csv")
+        assert code == csv_code == EXIT_OK
+        lhs, rhs = (line.split(" = ")[1].strip("[]").split(", ")
+                    for line in text.splitlines()[1:3])
+        assert csv.splitlines()[-1].split(",") == ["total", "", *lhs, *rhs]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("scheme", ["refined", "simple"])
+    @pytest.mark.parametrize("seq", ["custom:1e500", "custom:1e4000"])
+    def test_huge_sums_are_decided(self, seq, scheme, fmt):
+        # the rhs width is relative to the sum: an absolute 1e-30 asked e
+        # for more stages than it has, and these ended undecided
+        code, out = run("carleman", "--seq", seq, "--N", "1", "--scheme", scheme,
+                        "--format", fmt)
+        assert code == EXIT_OK
+        if fmt == "text":
+            assert out.splitlines()[-1] == "lhs <= rhs rigorously: yes"
+
     def test_csv_encloses_each_mean_once(self, monkeypatch):
         calls = []
         enclose = TestSequence.geometric_mean_enclosure

@@ -13,8 +13,8 @@ from eulerbounds import keller
 from eulerbounds.algebra import Poly
 from eulerbounds.keller import (DISPLAY_DENOMINATOR_CONSTANT, ConvergenceRow,
                                 DegreeMismatch, _leading_ratio, convergence_table,
-                                display_forms, keller_term, sandwich_bounds,
-                                sandwich_limits, sandwich_sides)
+                                display_forms, keller_term, sandwich_limits,
+                                sandwich_rates, sandwich_sides)
 from eulerbounds.series import Variant, lower_bound, upper_bound
 
 X2 = F("1.01166846322146638438769036794401738547598061")  # (11/4)/e
@@ -44,36 +44,45 @@ class TestKellerTerm:
 
 
 class TestSandwich:
+    """The exact rates n^2 (side - 1) of both sandwich sides."""
+
     def test_exact_values_at_two(self):
         # independent route: evaluate the bounds directly
         u, v = lower_bound(), upper_bound(Variant.DEDUP)
-        lo, hi = sandwich_bounds(2)
-        assert lo == 3 * u.eval(2) - 2 * v.eval(1)
-        assert hi == 3 * v.eval(2) - 2 * u.eval(1)
+        lo, hi = sandwich_rates(2)
+        assert lo == 4 * (3 * u.eval(2) - 2 * v.eval(1) - 1)
+        assert hi == 4 * (3 * v.eval(2) - 2 * u.eval(1) - 1)
+
+    @pytest.mark.parametrize("n", [2, 10, 1000])
+    def test_rates_are_the_bounds_sandwich(self, n):
+        u, v = lower_bound(), upper_bound(Variant.DEDUP)
+        assert sandwich_rates(n) == (
+            n * n * ((n + 1) * u.eval(n) - n * v.eval(n - 1) - 1),
+            n * n * ((n + 1) * v.eval(n) - n * u.eval(n - 1) - 1))
 
     def test_ordering(self):
         for n in range(2, 101):
-            lo, hi = sandwich_bounds(n, Variant.DEDUP)
+            lo, hi = sandwich_rates(n, Variant.DEDUP)
             assert lo < hi
 
     def test_as_written_sandwich_inverts(self):
         # with the doubled correction the claimed upper side drops below the
         # lower side from n = 3 on: the squeeze is only coherent for the
         # single-term variant
-        lo, hi = sandwich_bounds(2, Variant.AS_WRITTEN)
+        lo, hi = sandwich_rates(2, Variant.AS_WRITTEN)
         assert lo < hi
         with pytest.raises(ArithmeticError):
-            sandwich_bounds(3, Variant.AS_WRITTEN)
+            sandwich_rates(3, Variant.AS_WRITTEN)
 
     def test_term_within_sandwich(self):
         for n in range(2, 51):
-            lo, hi = sandwich_bounds(n, Variant.DEDUP)
+            lo, hi = sandwich_rates(n, Variant.DEDUP)
             value = keller_term(n, F(1, 10**15))
-            assert lo < value.lo and value.hi < hi
+            assert lo < n * n * (value.lo - 1) and n * n * (value.hi - 1) < hi
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            sandwich_bounds(1)
+            sandwich_rates(1)
 
 
 class TestSymbolicLimits:

@@ -168,6 +168,14 @@ def test_ratfunc_serves_only_the_prover():
     assert users == {"algebra.py", "prover.py"}
 
 
+def test_the_cli_renders_what_the_library_computes():
+    # a CLI that names no polynomial, interval or width can only print
+    # what a library call returned, not recompute it beside the library
+    cli = ROOT / "src" / "eulerbounds" / "cli.py"
+    names = {name for name, _ in name_uses(ast.parse(cli.read_text()))}
+    assert names.isdisjoint({"Poly", "RatInterval", "DEFAULT_WIDTH"})
+
+
 def limit_readers(path: Path) -> list[str]:
     """"file:owner" for every use of get_int_max_str_digits in one source
     file, owner the enclosing top-level function or class, or <module>."""
