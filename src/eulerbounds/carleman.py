@@ -192,14 +192,15 @@ def weight_over_e(scheme: WeightScheme, n: int) -> Fraction:
     raise ValueError(f"{scheme.kind} weights are not rational multiples of e")
 
 
-def weight(scheme: WeightScheme, n: int) -> RatInterval:
-    """Effective weight for index n: (1+1/n)^n as an exact point for the
-    telescoping family, otherwise e's enclosure times the exact weight/e."""
-    if n < 1:
-        raise ValueError("indices start at 1")
+def weights(scheme: WeightScheme, N: int) -> list[RatInterval]:
+    """Effective weights for indices 1..N: (1+1/n)^n as exact points for the
+    telescoping family, otherwise one enclosure of e times each exact weight/e."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
     if scheme.kind == "polya":
-        return RatInterval.point(Fraction((n + 1) ** n, n**n))
-    return euler_number_interval().scale(weight_over_e(scheme, n))
+        return [RatInterval.point(Fraction((n + 1) ** n, n**n)) for n in range(1, N + 1)]
+    e = euler_number_interval()
+    return [e.scale(weight_over_e(scheme, n)) for n in range(1, N + 1)]
 
 
 # ---------------------------------------------------------------------------

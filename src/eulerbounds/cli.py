@@ -432,8 +432,7 @@ def cmd_carleman(args, out) -> int:
         writer = _csv_writer(out)
         writer.writerow(["n", "a_n", "lhs_term_lo", "lhs_term_hi",
                          "weight_lo", "weight_hi"])
-        for n, term in enumerate(terms, 1):
-            w = carl.weight(scheme, n)
+        for n, (term, w) in enumerate(zip(terms, carl.weights(scheme, args.N)), 1):
             writer.writerow([n, rat_str(seq.term(n)), dec_floor(term.lo, digits),
                              dec_ceil(term.hi, digits), dec_floor(w.lo, digits),
                              dec_ceil(w.hi, digits)])

@@ -18,18 +18,22 @@ in ulps (units of 2^-prec) on what the floors lost:
   under 1 ulp.  The normalized value takes it at the exponent
   n ln(1+1/n) - 1, which lies in [ln 2 - 1, 0); its upper endpoint uses
   exp(x + d) <= exp(x) + 2d for 0 <= d <= 1 and x <= 0, so the
-  exponential is summed once per stage.  e is exp(1/2) squared.
+  exponential is summed once per stage.  e is exp(1/2) squared; at
+  x = 2^(prec-1) the Taylor step floor(t x / (k 2^prec)) is t // 2k.
 
-Endpoints are therefore exact dyadic rationals whose size follows the
-request (361 bits for the normalized value at width 1e-100).  A fixed
-stage schedule with cumulative intersection (``_refine``) makes a
-tighter request return a subinterval of a looser one.  The one
+A stage is three integers (lo, hi, shift) standing for
+[lo / 2^shift, hi / 2^shift].  A fixed stage schedule with cumulative
+intersection (``_refine``) makes a tighter request return a subinterval
+of a looser one, and it stays in integers until the result: one
+``RatInterval`` of exact dyadic rationals whose size follows the request
+(361 bits for the normalized value at width 1e-100).  The one
 comparator, ``normalized_below``, skips the intervals: it tests a kernel
 bracket against integer pairs num/den by cross-multiplication.
 
 The one exception is ``fraction_normalized_euler_interval``: exact
-Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp)
-kept for the refutation witness, whose exact endpoints the prover prints.
+Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp),
+intersected as ``RatInterval``s, kept for the refutation witness, whose
+exact endpoints the prover prints.
 Integer n-th roots enclose k-th roots of rationals.
 """
 
@@ -125,20 +129,38 @@ _STAGES = 64
 _GUARD_BITS = 16
 
 
-def _refine(stage_enclosure: Callable[[int], RatInterval],
+def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
             target_width: Fraction) -> RatInterval:
     """Intersect the stages in order until the width test passes.
+
+    Stage i returns integers (lo, hi, shift) standing for the bracket
+    [lo / 2^shift, hi / 2^shift], and shift never falls from one stage to
+    the next.  The running intersection stays in integers: the older
+    bracket is shifted up to the newer one's shift, and the width test
+    cross-multiplies, (hi - lo) den <= num 2^shift for the target num/den.
+    Only the result becomes a ``RatInterval``, so its endpoints are the
+    same rationals as an intersection of ``RatInterval`` stages.
 
     Stage i never depends on the target, so the result for a tighter
     target is the intersection of more stages: a subinterval of the
     result for a looser one.
     """
-    best: Optional[RatInterval] = None
+    num, den = target_width.numerator, target_width.denominator
+    lo = hi = shift = None
     for stage in range(_STAGES):
-        cur = stage_enclosure(stage)
-        best = cur if best is None else best.intersect(cur)
-        if best.width <= target_width:
-            return best
+        cur_lo, cur_hi, cur_shift = stage_bracket(stage)
+        if lo is not None:
+            up = cur_shift - shift
+            cur_lo, cur_hi = max(lo << up, cur_lo), min(hi << up, cur_hi)
+        lo, hi, shift = cur_lo, cur_hi, cur_shift
+        # an inverted stage empties the intersection as a disjoint one does;
+        # every stage is an enclosure, so either is a fault, not bad input
+        if lo > hi:
+            raise SoundnessError(f"stage {stage} is inverted or disjoint from "
+                                 "the earlier ones (soundness bug)")
+        if (hi - lo) * den <= num << shift:
+            one = 1 << shift
+            return RatInterval(Fraction(lo, one), Fraction(hi, one))
     raise RefinementExhausted("enclosure refinement failed to reach the target width")
 
 
@@ -182,7 +204,8 @@ def _exp_fixed(x: int, prec: int) -> tuple[int, int]:
     k = 0
     while t:
         k += 1
-        t = t * x // (k << prec)
+        # floor(floor(t x / 2^prec) / k) = floor(t x / (k 2^prec))
+        t = (t * x >> prec) // k
         s += t
     return s - 2 * k - 1, s + 2 * k + 1
 
@@ -192,16 +215,24 @@ def _exp_fixed(x: int, prec: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _euler_stage(stage: int) -> RatInterval:
-    """One fixed-point stage for e = exp(1/2)^2: dyadic endpoints over 2^(2 prec).
+def _euler_stage(stage: int) -> tuple[int, int, int]:
+    """One fixed-point stage for e = exp(1/2)^2: (lo, hi, 2 prec).
 
-    Squaring the positive bracket of exp(1/2) keeps its order, and the
-    width (hi - lo)(hi + lo) / 2^(2 prec) stays under 8 (2k + 1) ulps.
+    The series is ``_exp_fixed``'s at x = 2^(prec-1), where its step
+    floor(floor(t x / 2^prec) / k) is floor(t / (2k)): the same integers
+    without the products.  Squaring the positive bracket of exp(1/2) keeps
+    its order, and the width (hi - lo)(hi + lo) / 2^(2 prec) stays under
+    8 (2k + 1) ulps.
     """
     prec = _stage_prec(stage)
-    lo, hi = _exp_fixed(1 << (prec - 1), prec)
-    one = 1 << 2 * prec
-    return RatInterval(Fraction(lo * lo, one), Fraction(hi * hi, one))
+    t = s = 1 << prec
+    k = 0
+    while t:
+        k += 1
+        t //= 2 * k
+        s += t
+    lo, hi = s - 2 * k - 1, s + 2 * k + 1
+    return lo * lo, hi * hi, 2 * prec
 
 
 def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
@@ -229,12 +260,10 @@ def _normalized_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     return lo, hi + 2 * (x_hi - x_lo)
 
 
-def _normalized_stage(p: int, q: int, stage: int) -> RatInterval:
-    """One fixed-point stage for n = p/q >= 1: dyadic endpoints over 2^prec."""
+def _normalized_stage(p: int, q: int, stage: int) -> tuple[int, int, int]:
+    """One fixed-point stage for n = p/q >= 1: (lo, hi, prec)."""
     prec = _stage_prec(stage)
-    lo, hi = _normalized_fixed(p, q, prec)
-    one = 1 << prec
-    return RatInterval(Fraction(lo, one), Fraction(hi, one))
+    return (*_normalized_fixed(p, q, prec), prec)
 
 
 def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
@@ -323,12 +352,15 @@ def fraction_normalized_euler_interval(n: Scalar,
     if n < 1:
         raise DomainError("normalized sequence value needs n >= 1")
 
-    def stage_enclosure(stage: int) -> RatInterval:
+    best: Optional[RatInterval] = None
+    for stage in range(_STAGES):
         ln_iv = ln1p_to_width(n, Fraction(1, 10 ** (6 + 8 * stage)) / n)
-        return _exp_interval_adaptive(ln_iv.scale(n) - 1,
-                                      Fraction(1, 10 ** (8 + 8 * stage)))
-
-    return _refine(stage_enclosure, target_width)
+        cur = _exp_interval_adaptive(ln_iv.scale(n) - 1,
+                                     Fraction(1, 10 ** (8 + 8 * stage)))
+        best = cur if best is None else best.intersect(cur)
+        if best.width <= target_width:
+            return best
+    raise RefinementExhausted("enclosure refinement failed to reach the target width")
 
 
 # ---------------------------------------------------------------------------

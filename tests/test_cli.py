@@ -858,10 +858,27 @@ class TestDigitLimit:
 
 class TestEnclosureFailures:
     def test_soundness_failure_is_not_a_usage_error(self, monkeypatch, capsys):
-        disjoint = [enclosure.RatInterval(0, 1), enclosure.RatInterval(2, 3)]
+        disjoint = [(0, 1, 0), (2, 3, 0)]  # [0, 1] then [2, 3]
         monkeypatch.setattr(enclosure, "_normalized_stage",
                             lambda p, q, stage: disjoint[min(stage, 1)])
         assert main(["check", "--n", "1"], out=io.StringIO()) == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("failed:") and "soundness" in err
+
+    @pytest.mark.parametrize("seam, argv", [
+        ("_normalized_stage", ("check", "--n", "2")),
+        ("_euler_stage", ("carleman", "--scheme", "simple", "--N", "3")),
+    ], ids=["normalized", "e"])
+    def test_inverted_stage_is_a_soundness_failure(self, seam, argv, monkeypatch, capsys):
+        # stage 1 comes back with its endpoints swapped, inside stage 0's bracket
+        stage_bracket = getattr(enclosure, seam)
+
+        def inverted_at_one(*args):
+            lo, hi, shift = stage_bracket(*args)
+            return (hi, lo, shift) if args[-1] == 1 else (lo, hi, shift)
+
+        monkeypatch.setattr(enclosure, seam, inverted_at_one)
+        assert main(list(argv), out=io.StringIO()) == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("failed:") and "soundness" in err
 

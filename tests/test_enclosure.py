@@ -6,6 +6,8 @@ test must trap them.
 """
 
 import contextlib
+import functools
+import hashlib
 import signal
 from fractions import Fraction as F
 
@@ -16,8 +18,10 @@ from hypothesis import strategies as st
 
 from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.enclosure import (DomainError, RatInterval,
-                                   RefinementExhausted, SoundnessError, _exp_fixed,
-                                   _ln1p_fixed, check_classic_at,
+                                   RefinementExhausted, SoundnessError, _STAGES,
+                                   _euler_stage, _exp_fixed, _ln1p_fixed,
+                                   _normalized_stage, _refine, _stage_prec,
+                                   check_classic_at,
                                    check_certified_at, euler_number_interval,
                                    fraction_normalized_euler_interval,
                                    integer_nth_root, ln1p_to_width, normalized_below,
@@ -176,9 +180,10 @@ POINTS = st.fractions(min_value=1, max_value=10**4, max_denominator=16)
 DIGITS = st.integers(min_value=8, max_value=120)
 
 
-def oracle_normalized(n: F) -> F:
-    """(1/e)(1+1/n)^n from mpmath at 200 digits, as an exact rational."""
-    with mpmath.workdps(ORACLE_DIGITS):
+def oracle_normalized(n: F, dps: int = ORACLE_DIGITS) -> F:
+    """(1/e)(1+1/n)^n from mpmath at dps digits (200 by default), as an
+    exact rational."""
+    with mpmath.workdps(dps):
         x = mpmath.mpf(n.numerator) / n.denominator
         man, exp = mpmath.exp(x * mpmath.log1p(1 / x) - 1).man_exp
     return F(man) * F(2) ** exp
@@ -287,6 +292,96 @@ class TestEulerNumberOracle:
     def test_unreachable_width_fails_after_the_last_stage(self):
         with pytest.raises(RefinementExhausted):
             euler_number_interval(F(0))
+
+
+def reference_exp_fixed(x: int, prec: int) -> tuple[int, int]:
+    """``_exp_fixed`` as first written: one floor of t x by k 2^prec per term."""
+    t = s = 1 << prec
+    k = 0
+    while t:
+        k += 1
+        t = t * x // (k << prec)
+        s += t
+    return s - 2 * k - 1, s + 2 * k + 1
+
+
+def reference_refine(stage_bracket, target_width: F) -> RatInterval:
+    """``_refine`` as first written: each stage a RatInterval, intersected
+    and width-tested as Fractions."""
+    best = None
+    for stage in range(_STAGES):
+        lo, hi, shift = stage_bracket(stage)
+        cur = RatInterval(F(lo, 1 << shift), F(hi, 1 << shift))
+        best = cur if best is None else best.intersect(cur)
+        if best.width <= target_width:
+            return best
+    raise RefinementExhausted("enclosure refinement failed to reach the target width")
+
+
+ENDPOINT_POINTS = (F(1), F(33, 16), F(7, 3), F(1000), F(10**4), F(10**6))
+ENDPOINT_DIGITS = (8, 12, 20, 30, 40, 80, 120, 300, 500)
+
+
+def endpoint_lines():
+    for d in ENDPOINT_DIGITS:
+        iv = euler_number_interval(F(1, 10**d))
+        yield f"e 1e-{d} {iv.lo} {iv.hi}\n"
+    for n in ENDPOINT_POINTS:
+        for d in ENDPOINT_DIGITS:
+            iv = normalized_euler_interval(n, F(1, 10**d))
+            yield f"normalized {n} 1e-{d} {iv.lo} {iv.hi}\n"
+
+
+class TestFixedPointKernel:
+    """The integer stages and their intersection against the formulas and
+    the Fraction intersection they replaced, and the exact endpoints."""
+
+    def test_exact_endpoints_digest(self):
+        # e and the normalized value at six n and nine widths, 1e-8 to 1e-500
+        digest = hashlib.sha256("".join(endpoint_lines()).encode()).hexdigest()
+        assert digest == "3dc8a4bbecd90588e00a46868999c7d6d5c9fd7bb7018e05b9981de32bf91ee7"
+
+    @pytest.mark.parametrize("stage", range(_STAGES))
+    def test_euler_stage_is_the_exponential_at_one_half(self, stage):
+        prec = _stage_prec(stage)
+        lo, hi = reference_exp_fixed(1 << (prec - 1), prec)
+        assert _euler_stage(stage) == (lo * lo, hi * hi, 2 * prec)
+
+    @given(st.data(), st.sampled_from((0, 1, 4, 12, 37, 63)))
+    @settings(max_examples=60, deadline=None)
+    def test_exponential_is_the_single_floor_formula(self, data, stage):
+        prec = _stage_prec(stage)
+        half = 1 << (prec - 1)
+        x = data.draw(st.one_of(st.sampled_from((-half, -1, 0, 1, half)),
+                                st.integers(min_value=-half, max_value=half)))
+        assert _exp_fixed(x, prec) == reference_exp_fixed(x, prec)
+
+    @pytest.mark.parametrize("n", [F(1), F(33, 16), F(10**9)])
+    @pytest.mark.parametrize("digits", [8, 30, 120, 500])
+    def test_integer_intersection_is_the_fraction_intersection(self, n, digits):
+        width = F(1, 10**digits)
+        stages = functools.partial(_normalized_stage, n.numerator, n.denominator)
+        assert normalized_euler_interval(n, width) == reference_refine(stages, width)
+        assert euler_number_interval(width) == reference_refine(_euler_stage, width)
+
+    @pytest.mark.parametrize("stages", [
+        [(0, 1, 0), (4, 5, 1)],  # [0, 1], then [4/2, 5/2]
+        [(4, 0, 0), (3, 5, 1)],  # the first stage upside down
+        [(0, 4, 0), (5, 3, 1)],  # a later stage upside down, inside [0, 4]
+    ], ids=["disjoint", "inverted-first", "inverted-later"])
+    def test_an_empty_intersection_is_a_soundness_failure(self, stages):
+        with pytest.raises(SoundnessError):
+            _refine(lambda stage: stages[stage], F(0))
+
+    @pytest.mark.parametrize("digits", [300, 500])
+    def test_contains_the_oracle_at_three_times_the_digits(self, digits):
+        slack = F(1, 10 ** (3 * digits - 1))  # above mpmath's error, far below the width
+        e = euler_number_interval(F(1, 10**digits))
+        assert e.lo - slack <= oracle_e(digits) <= e.hi + slack
+        n = F(33, 16)
+        iv = normalized_euler_interval(n, F(1, 10**digits))
+        ref = oracle_normalized(n, 3 * digits)
+        assert iv.lo - slack <= ref <= iv.hi + slack
 
 
 class TestChecks:
