@@ -13,8 +13,8 @@ in ulps (units of 2^-prec) on what the floors lost:
   prec plus the bit length of p plus guard bits (n scales its error).
   Each term sits under 3 ulps below its exact value, and the terms left
   out once the running power reaches 0 total under 2 ulps.
-* exp(x) for |x| <= 1/2 is a Taylor sum whose k-th term is off by at
-  most 2 ulps, and the terms left out after the first zero term total
+* exp(x) for |x| <= 1/2 is a Taylor sum whose k-th term is off by
+  under 1.2 ulps, and the terms left out after the first zero term total
   under 1 ulp.  The normalized value takes it at the exponent
   n ln(1+1/n) - 1, which lies in [ln 2 - 1, 0); its upper endpoint uses
   exp(x + d) <= exp(x) + 2d for 0 <= d <= 1 and x <= 0, so the
@@ -22,13 +22,34 @@ in ulps (units of 2^-prec) on what the floors lost:
   x = 2^(prec-1) the Taylor step floor(t x / (k 2^prec)) is t // 2k.
 
 A stage is three integers (lo, hi, shift) standing for
-[lo / 2^shift, hi / 2^shift].  A fixed stage schedule with cumulative
-intersection (``_refine``) makes a tighter request return a subinterval
-of a looser one, and it stays in integers until the result: one
-``RatInterval`` of exact dyadic rationals whose size follows the request
-(361 bits for the normalized value at width 1e-100).  The one
-comparator, ``normalized_below``, skips the intervals: it tests a kernel
-bracket against integer pairs num/den by cross-multiplication.
+[lo / 2^shift, hi / 2^shift].  Stage i has prec = ``_stage_prec(i)``
+fraction bits, at least 26 more than stage i - 1, and its ulp is
+2^-prec.  Two facts about this schedule let ``_refine`` compute one
+stage, at most two, per enclosure:
+
+* Width floor: every stage is wider than its ulp.  With K terms in the
+  exp sum, the normalized value spans 4K + 2 + 2 (x_hi - x_lo) ulps, and
+  e spans hi^2 - lo^2 >= (4K + 2) 2^(prec+1) units of 2^-(2 prec), as
+  lo + hi >= 2^(prec+1).  So a stage whose ulp exceeds the target width
+  can never pass the width test.
+* Nesting: each stage lies strictly inside every earlier one.  The exp
+  sum's error stays below 1.2 (K - 1) + 1 ulps, because its first term
+  x is exact (e_1 = 0) and |x| <= 1/2 gives |e_k| < 1 + |e_(k-1)|/(2k),
+  so |e_k| < 1.2.  The bracket allows 2K + 1 ulps, and K >= 1, so each
+  endpoint sits at least 0.8K + 1.2 >= 2 ulps of its own stage outside
+  the value; the normalized upper endpoint keeps that margin over
+  exp(x_hi), and squaring keeps at least 2 ulps for e.
+  Stage i+1 spans under 2^12 of its own ulps (K < 240 at the last
+  stage), and its ulp is at least 2^26 times finer, so it lies within
+  2^-14 ulps of stage i around the value, inside stage i.
+
+So the intersection of stages 0..m is stage m, and ``_refine`` starts
+at the first stage whose ulp is at most the width.  It returns the same
+``RatInterval`` as intersecting from stage 0, one of exact dyadic
+rationals whose size follows the request (361 bits for the normalized
+value at width 1e-100).  The one comparator, ``normalized_below``,
+skips the intervals: it tests a kernel bracket against integer pairs
+num/den by cross-multiplication.
 
 The one exception is ``fraction_normalized_euler_interval``: exact
 Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp),
@@ -39,6 +60,7 @@ Integer n-th roots enclose k-th roots of rationals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -131,23 +153,30 @@ _GUARD_BITS = 16
 
 def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
             target_width: Fraction) -> RatInterval:
-    """Intersect the stages in order until the width test passes.
+    """Intersect the stages, from the first whose ulp is at most the width,
+    until the width test passes.
 
     Stage i returns integers (lo, hi, shift) standing for the bracket
     [lo / 2^shift, hi / 2^shift], and shift never falls from one stage to
-    the next.  The running intersection stays in integers: the older
-    bracket is shifted up to the newer one's shift, and the width test
-    cross-multiplies, (hi - lo) den <= num 2^shift for the target num/den.
-    Only the result becomes a ``RatInterval``, so its endpoints are the
-    same rationals as an intersection of ``RatInterval`` stages.
+    the next.  Every stage is wider than its ulp 2^-prec, prec =
+    ``_stage_prec(i)``, and lies strictly inside every earlier one (the
+    module docstring proves both).  So no stage before the first with
+    num 2^prec >= den, for the target num/den, can pass, and starting
+    there returns the same rationals as starting at stage 0.  That stage
+    or the next passes; a width below the last stage's ulp raises
+    ``RefinementExhausted`` before any stage runs.
 
-    Stage i never depends on the target, so the result for a tighter
-    target is the intersection of more stages: a subinterval of the
-    result for a looser one.
+    The stages that run are still intersected in integers (the older
+    bracket shifted up to the newer shift), and the width test
+    cross-multiplies, (hi - lo) den <= num 2^shift.  An inverted or
+    disjoint stage is a ``SoundnessError``.  Only the result becomes a
+    ``RatInterval``.
     """
     num, den = target_width.numerator, target_width.denominator
+    # the first stage whose ulp is at most the width, or _STAGES if none is
+    first = bisect_left(range(_STAGES), True, key=lambda i: num << _stage_prec(i) >= den)
     lo = hi = shift = None
-    for stage in range(_STAGES):
+    for stage in range(first, _STAGES):
         cur_lo, cur_hi, cur_shift = stage_bracket(stage)
         if lo is not None:
             up = cur_shift - shift
@@ -195,10 +224,12 @@ def _ln1p_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
 def _exp_fixed(x: int, prec: int) -> tuple[int, int]:
     """Integers (lo, hi) with lo <= 2^prec exp(x / 2^prec) <= hi, |x| <= 2^prec / 2.
 
-    Sums the Taylor series with every division rounded down.  The k-th
-    term's loss obeys |e_k| <= |e_(k-1)| |x|/(k 2^prec) + 1 < 2 ulps.  The
-    loop stops at a zero term, after which the terms left out total under
-    1 ulp, so the error of the sum stays below 2k + 1 ulps.
+    Sums the Taylor series with every division rounded down.  The first
+    term x is exact, and the k-th term's loss obeys
+    |e_k| < |e_(k-1)| |x|/(k 2^prec) + 1 <= |e_(k-1)|/(2k) + 1 < 1.2 ulps.
+    The loop stops at a zero term, after which the terms left out total
+    under 1 ulp, so the error of the sum stays below 1.2 (k - 1) + 1 ulps,
+    at least 2 ulps short of the bracket's 2k + 1.
     """
     t = s = 1 << prec
     k = 0
@@ -238,7 +269,7 @@ def _euler_stage(stage: int) -> tuple[int, int, int]:
 def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
     """Enclose e as exp(1/2) squared, refined until the width bound holds.
 
-    The stages are fixed point and intersected like those of
+    The stages are fixed point and nest like those of
     ``normalized_euler_interval``: dyadic endpoints, nested results.
     """
     return _refine(_euler_stage, width)
@@ -270,9 +301,9 @@ def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH)
     """Enclose (1/e)(1+1/n)^n = exp(n ln(1+1/n) - 1) for rational n >= 1.
 
     Stage i works in integers over 2^prec with prec about (8+8i) log2(10)
-    plus guard bits, and its width is below 10^-(8+8i).  The stages are
-    intersected, so results for tighter targets are contained in results
-    for looser ones.  Endpoints are exact dyadic rationals.
+    plus guard bits, and its width is below 10^-(8+8i).  The stages nest,
+    so results for tighter targets are contained in results for looser
+    ones.  Endpoints are exact dyadic rationals.
     """
     n = Fraction(n)
     if n < 1:

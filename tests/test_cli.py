@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import io
+import itertools
 import os
 import pkgutil
 import subprocess
@@ -858,26 +859,31 @@ class TestDigitLimit:
 
 class TestEnclosureFailures:
     def test_soundness_failure_is_not_a_usage_error(self, monkeypatch, capsys):
-        disjoint = [(0, 1, 0), (2, 3, 0)]  # [0, 1] then [2, 3]
+        # the first stage that runs gives [0, 1], the second [2, 3]
+        disjoint = iter([(0, 1, 0), (2, 3, 0)])
         monkeypatch.setattr(enclosure, "_normalized_stage",
-                            lambda p, q, stage: disjoint[min(stage, 1)])
+                            lambda p, q, stage: next(disjoint))
         assert main(["check", "--n", "1"], out=io.StringIO()) == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("failed:") and "soundness" in err
 
-    @pytest.mark.parametrize("seam, argv", [
-        ("_normalized_stage", ("check", "--n", "2")),
-        ("_euler_stage", ("carleman", "--scheme", "simple", "--N", "3")),
+    @pytest.mark.parametrize("seam, argv, inverted", [
+        # at n = 2 stage 3 is the first that can reach 1e-36 and misses it,
+        # so the second stage run, inside the first's bracket, is swapped
+        ("_normalized_stage", ("check", "--n", "2", "--width", "1e-36"), 1),
+        # e at the default 1e-30 runs one stage: that one is swapped
+        ("_euler_stage", ("carleman", "--scheme", "simple", "--N", "3"), 0),
     ], ids=["normalized", "e"])
-    def test_inverted_stage_is_a_soundness_failure(self, seam, argv, monkeypatch, capsys):
-        # stage 1 comes back with its endpoints swapped, inside stage 0's bracket
+    def test_inverted_stage_is_a_soundness_failure(self, seam, argv, inverted,
+                                                   monkeypatch, capsys):
         stage_bracket = getattr(enclosure, seam)
+        runs = itertools.count()
 
-        def inverted_at_one(*args):
+        def inverted_run(*args):
             lo, hi, shift = stage_bracket(*args)
-            return (hi, lo, shift) if args[-1] == 1 else (lo, hi, shift)
+            return (hi, lo, shift) if next(runs) == inverted else (lo, hi, shift)
 
-        monkeypatch.setattr(enclosure, seam, inverted_at_one)
+        monkeypatch.setattr(enclosure, seam, inverted_run)
         assert main(list(argv), out=io.StringIO()) == EXIT_FAIL
         err = capsys.readouterr().err
         assert err.startswith("failed:") and "soundness" in err

@@ -10,12 +10,14 @@ import functools
 import hashlib
 import signal
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerbounds import enclosure
 from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.enclosure import (DomainError, RatInterval,
                                    RefinementExhausted, SoundnessError, _STAGES,
@@ -370,8 +372,9 @@ class TestFixedPointKernel:
         [(0, 4, 0), (5, 3, 1)],  # a later stage upside down, inside [0, 4]
     ], ids=["disjoint", "inverted-first", "inverted-later"])
     def test_an_empty_intersection_is_a_soundness_failure(self, stages):
+        # every stage's ulp is below 1/2, so the run starts at stage 0
         with pytest.raises(SoundnessError):
-            _refine(lambda stage: stages[stage], F(0))
+            _refine(lambda stage: stages[stage], F(1, 2))
 
     @pytest.mark.parametrize("digits", [300, 500])
     def test_contains_the_oracle_at_three_times_the_digits(self, digits):
@@ -382,6 +385,118 @@ class TestFixedPointKernel:
         iv = normalized_euler_interval(n, F(1, 10**digits))
         ref = oracle_normalized(n, 3 * digits)
         assert iv.lo - slack <= ref <= iv.hi + slack
+
+
+SCHEDULE_POINTS = (F(1), F(2), F(33, 16), F(7, 3), F(1000), F(10**6), F(10**9),
+                   F(10**400 + 1, 3))
+SCHEDULES = [("e", _euler_stage)] + [
+    ("n=" + (str(n) if n < 10**10 else "(10^400+1)/3"),
+     functools.partial(_normalized_stage, n.numerator, n.denominator))
+    for n in SCHEDULE_POINTS]
+
+
+def stage_intervals(stage_bracket) -> list[tuple[F, F]]:
+    """Every stage of a schedule as its exact endpoints."""
+    return [(F(lo, 1 << shift), F(hi, 1 << shift))
+            for lo, hi, shift in map(stage_bracket, range(_STAGES))]
+
+
+def first_stage(width: F) -> int:
+    """The first stage whose ulp is at most width, or _STAGES if none is."""
+    return next((i for i in range(_STAGES) if F(1, 1 << _stage_prec(i)) <= width), _STAGES)
+
+
+@contextlib.contextmanager
+def counted_stages(seam: str):
+    """Record the stage index of every call to enclosure.<seam>."""
+    runs = []
+    stage_bracket = getattr(enclosure, seam)
+
+    def counting(*args):
+        runs.append(args[-1])
+        return stage_bracket(*args)
+
+    with mock.patch.object(enclosure, seam, counting):
+        yield runs
+
+
+def outcome(enclose, *args):
+    """The enclosure, or RefinementExhausted if the stages run out."""
+    try:
+        return enclose(*args)
+    except RefinementExhausted:
+        return RefinementExhausted
+
+
+@st.composite
+def boundary_widths(draw, n: F) -> F:
+    """10^-d for d <= 513, or a stage's ulp 2^-prec or its exact width (for
+    e or for n), each also one unit of 2^-(2 prec) lower or higher."""
+    kind = draw(st.sampled_from(("decimal", "ulp", "normalized", "e")))
+    if kind == "decimal":
+        return F(1, 10 ** draw(st.integers(min_value=1, max_value=513)))
+    stage = draw(st.integers(min_value=0, max_value=_STAGES - 1))
+    prec = _stage_prec(stage)
+    if kind == "ulp":
+        width = F(1, 1 << prec)
+    else:
+        lo, hi, shift = (_euler_stage(stage) if kind == "e"
+                         else _normalized_stage(n.numerator, n.denominator, stage))
+        width = F(hi - lo, 1 << shift)
+    return width + draw(st.sampled_from((-1, 0, 1))) * F(1, 1 << 2 * prec)
+
+
+class TestStageSchedule:
+    """The two facts that let an enclosure start at the first stage that
+    can meet its width, and the start rule against the full intersection."""
+
+    @pytest.mark.parametrize("stage_bracket", [s for _, s in SCHEDULES],
+                             ids=[name for name, _ in SCHEDULES])
+    def test_every_stage_is_wider_than_its_ulp(self, stage_bracket):
+        for stage, (lo, hi) in enumerate(stage_intervals(stage_bracket)):
+            ulp = F(1, 1 << _stage_prec(stage))
+            # and under 2^12 ulps, so the stage after the first that runs passes
+            assert ulp < hi - lo < 2**12 * ulp
+
+    @pytest.mark.parametrize("stage_bracket", [s for _, s in SCHEDULES],
+                             ids=[name for name, _ in SCHEDULES])
+    def test_each_stage_lies_inside_the_one_before(self, stage_bracket):
+        stages = stage_intervals(stage_bracket)
+        for (outer_lo, outer_hi), (lo, hi) in zip(stages, stages[1:]):
+            assert min(lo - outer_lo, outer_hi - hi) >= hi - lo
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_a_width_runs_the_first_stage_that_can_meet_it(self, data):
+        n = data.draw(POINTS)
+        width = data.draw(boundary_widths(n))
+        first = first_stage(width)
+        for seam, enclose, stage_bracket in (
+                ("_normalized_stage", functools.partial(normalized_euler_interval, n),
+                 functools.partial(_normalized_stage, n.numerator, n.denominator)),
+                ("_euler_stage", euler_number_interval, _euler_stage)):
+            expected = outcome(reference_refine, stage_bracket, width)
+            with counted_stages(seam) as runs:
+                assert outcome(enclose, width) == expected
+            assert runs in ([first], [first, first + 1]) if first < _STAGES else runs == []
+
+    @pytest.mark.parametrize("width", [
+        F(1, 1 << _stage_prec(_STAGES - 1)) - F(1, 1 << 4000), F(1, 10**517), F(1, 10**4000),
+        F(0)], ids=["below-the-last-ulp", "1e-517", "1e-4000", "zero"])
+    def test_an_unreachable_width_runs_no_stage(self, width):
+        with counted_stages("_normalized_stage") as runs, pytest.raises(RefinementExhausted):
+            normalized_euler_interval(1, width)
+        with counted_stages("_euler_stage") as e_runs, pytest.raises(RefinementExhausted):
+            euler_number_interval(width)
+        assert runs == e_runs == []
+
+    def test_the_last_stage_alone_sets_the_exhaustion_point(self):
+        # at n = 1 the last stage reaches 1e-513 but not 1e-514
+        with counted_stages("_normalized_stage") as runs:
+            normalized_euler_interval(1, F(1, 10**513))
+            with pytest.raises(RefinementExhausted):
+                normalized_euler_interval(1, F(1, 10**514))
+        assert runs == [_STAGES - 1, _STAGES - 1]
 
 
 class TestChecks:
