@@ -11,6 +11,9 @@ endpoints, sandwich sequences) is built on three carriers:
   gcd(num, den) = 1 and den monic (so structural equality is semantic
   equality); it serves only the prover's second derivative f''.
 
+``rat_str`` is the one printed form of a rational, and of each
+coefficient of a printed polynomial.
+
 There is deliberately no floating point anywhere in this module: sign
 certificates and refutation witnesses must be bit-exact.  Degrees stay
 small (< 30), so the dense representation and quadratic algorithms are
@@ -214,11 +217,6 @@ class Poly:
 
     def primitive(self) -> "Poly":
         return self.content_and_primitive()[1]
-
-    # -- serialization ---------------------------------------------------
-
-    def to_strings(self) -> list[str]:
-        return [rat_str(c) for c in self.coeffs]
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -30,6 +30,7 @@ exact rational, so its width is relative and no sum is too large to decide.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -77,7 +78,7 @@ class TestSequence:
 
     kind: str  # "geometric" | "powerlaw" | "custom"
     ratio: Optional[Fraction] = None
-    exponent: Optional[Fraction] = None
+    exponent: Optional[int] = None
     values: Optional[tuple[Fraction, ...]] = None
 
     @classmethod
@@ -95,7 +96,7 @@ class TestSequence:
         if exponent.denominator != 1:
             raise ValueError("power-law exponents must be integers so the "
                              "terms stay rational")
-        return cls("powerlaw", exponent=exponent)
+        return cls("powerlaw", exponent=int(exponent))
 
     @classmethod
     def custom(cls, values: Iterable) -> "TestSequence":
@@ -108,7 +109,7 @@ class TestSequence:
         if self.kind == "geometric":
             return self.ratio**n
         if self.kind == "powerlaw":
-            return Fraction(1, n ** int(self.exponent))
+            return Fraction(1, n**self.exponent)
         if n > len(self.values):
             raise IndexError(f"custom sequence has only {len(self.values)} terms")
         return self.values[n - 1]
@@ -132,14 +133,9 @@ class TestSequence:
             base = r ** (n // 2)
             return nth_root_interval(r, 2, width / base).scale(base)
         if self.kind == "powerlaw":
-            fact = 1
-            for i in range(2, n + 1):
-                fact *= i
-            return nth_root_interval(Fraction(1, fact ** int(self.exponent)), n, width)
-        prod = Fraction(1)
-        for k in range(1, n + 1):
-            prod *= self.term(k)
-        return nth_root_interval(prod, n, width)
+            return nth_root_interval(Fraction(1, math.factorial(n) ** self.exponent), n, width)
+        self.term(n)  # past the last custom term this raises IndexError
+        return nth_root_interval(math.prod(self.values[:n]), n, width)
 
     def describe(self) -> str:
         if self.kind == "geometric":

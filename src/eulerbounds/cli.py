@@ -249,39 +249,17 @@ def cmd_optimize(args, out) -> int:
 
 
 def cmd_prove(args, out) -> int:
-    from .prover import match_reference_polynomials, prove_bound, render_certificate
-    bound = _bound(args)
+    from .prover import certificate_json, prove_bound, render_certificate
     side = args.side or {"bare": "upper", "u": "lower", "v": "upper"}[args.bound]
-    report = prove_bound(bound, side)
-    matches = match_reference_polynomials(report) if args.bound in ("u", "v") else []
+    report = prove_bound(_bound(args), side)
     cert, wit = report.certificate, report.refutation  # both printed whole
     shown = (wit.x, wit.bound_value, wit.enclosure.lo, wit.enclosure.hi) if wit else ()
     require_printable(*(cert.shifted_poly.coeffs if cert else ()), *shown)
     if args.format == "json":
-        payload = {
-            "bound": report.bound.describe(),
-            "side": report.side,
-            "conclusion": report.conclusion,
-            "limit_at_infinity_ok": report.limit_at_infinity_ok,
-            "certificate": None if cert is None else {
-                "sign": cert.claimed_sign,
-                "boundary_multiplicity": cert.boundary_multiplicity,
-                "shifted_coefficients": cert.shifted_poly.to_strings(),
-            },
-            "witness": None if wit is None else {
-                "x": rat_str(wit.x),
-                "bound_value": rat_str(wit.bound_value),
-                "enclosure": list(map(rat_str, shown[2:])),
-            },
-            "reference_matches": {m.name: m.matches for m in matches},
-        }
-        json.dump(payload, out, sort_keys=True, indent=2)
+        json.dump(certificate_json(report), out, sort_keys=True, indent=2)
         out.write("\n")
     else:
         out.write(render_certificate(report) + "\n")
-        for m in matches:
-            out.write(f"reference {m.name}: "
-                      f"{'match' if m.matches else 'mismatch'}\n")
     return {"proven": EXIT_OK, "refuted": EXIT_FAIL,
             "inconclusive": EXIT_UNDECIDED}[report.conclusion]
 
@@ -454,7 +432,7 @@ def terms_printable(seq, n: int) -> bool:
         return all(map(printable, seq.values[:n]))
     if seq.kind == "geometric":
         return printable(seq.ratio, n)
-    return printable(Fraction(n), int(seq.exponent))
+    return printable(Fraction(n), seq.exponent)
 
 
 _SUMS_TEXT = {EXIT_OK: "yes", EXIT_FAIL: "NO", EXIT_UNDECIDED: "undecided"}
@@ -604,7 +582,3 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_UNDECIDED if undecided else EXIT_FAIL
     out.write(buf.getvalue())
     return code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

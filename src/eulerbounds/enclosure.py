@@ -27,11 +27,13 @@ fraction bits, at least 26 more than stage i - 1, and its ulp is
 2^-prec.  Two facts about this schedule let ``_refine`` compute one
 stage, at most two, per enclosure:
 
-* Width floor: every stage is wider than its ulp.  With K terms in the
-  exp sum, the normalized value spans 4K + 2 + 2 (x_hi - x_lo) ulps, and
-  e spans hi^2 - lo^2 >= (4K + 2) 2^(prec+1) units of 2^-(2 prec), as
-  lo + hi >= 2^(prec+1).  So a stage whose ulp exceeds the target width
-  can never pass the width test.
+* Width floor: every stage is more than 8 ulps wide.  With K terms in
+  the exp sum, the normalized value spans 4K + 2 + 2 (x_hi - x_lo) ulps,
+  at least 10, as its exponent x_lo <= -1 is a nonzero first term, so
+  K >= 2.  e spans hi^2 - lo^2 >= (4K + 2) 2^(prec+1) units of
+  2^-(2 prec), 2 (4K + 2) ulps, as lo + hi >= 2^(prec+1).  (Measured:
+  at least 12 ulps normalized, 178 for e.)  So a stage whose 8 ulps
+  exceed the target width can never pass the width test.
 * Nesting: each stage lies strictly inside every earlier one.  The exp
   sum's error stays below 1.2 (K - 1) + 1 ulps, because its first term
   x is exact (e_1 = 0) and |x| <= 1/2 gives |e_k| < 1 + |e_(k-1)|/(2k),
@@ -44,8 +46,8 @@ stage, at most two, per enclosure:
   2^-14 ulps of stage i around the value, inside stage i.
 
 So the intersection of stages 0..m is stage m, and ``_refine`` starts
-at the first stage whose ulp is at most the width.  It returns the same
-``RatInterval`` as intersecting from stage 0, one of exact dyadic
+at the first stage whose 8 ulps are at most the width.  It returns the
+same ``RatInterval`` as intersecting from stage 0, one of exact dyadic
 rationals whose size follows the request (361 bits for the normalized
 value at width 1e-100).  The one comparator, ``normalized_below``,
 skips the intervals: it tests a kernel bracket against integer pairs
@@ -153,17 +155,17 @@ _GUARD_BITS = 16
 
 def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
             target_width: Fraction) -> RatInterval:
-    """Intersect the stages, from the first whose ulp is at most the width,
-    until the width test passes.
+    """Intersect the stages, from the first whose 8 ulps are at most the
+    width, until the width test passes.
 
     Stage i returns integers (lo, hi, shift) standing for the bracket
     [lo / 2^shift, hi / 2^shift], and shift never falls from one stage to
-    the next.  Every stage is wider than its ulp 2^-prec, prec =
+    the next.  Every stage is more than 8 ulps (2^-prec) wide, prec =
     ``_stage_prec(i)``, and lies strictly inside every earlier one (the
     module docstring proves both).  So no stage before the first with
-    num 2^prec >= den, for the target num/den, can pass, and starting
+    num 2^prec >= 8 den, for the target num/den, can pass, and starting
     there returns the same rationals as starting at stage 0.  That stage
-    or the next passes; a width below the last stage's ulp raises
+    or the next passes; a width below 8 ulps of the last stage raises
     ``RefinementExhausted`` before any stage runs.
 
     The stages that run are still intersected in integers (the older
@@ -173,8 +175,8 @@ def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
     ``RatInterval``.
     """
     num, den = target_width.numerator, target_width.denominator
-    # the first stage whose ulp is at most the width, or _STAGES if none is
-    first = bisect_left(range(_STAGES), True, key=lambda i: num << _stage_prec(i) >= den)
+    # the first stage whose 8 ulps are at most the width, or _STAGES if none is
+    first = bisect_left(range(_STAGES), True, key=lambda i: num << _stage_prec(i) >= 8 * den)
     lo = hi = shift = None
     for stage in range(first, _STAGES):
         cur_lo, cur_hi, cur_shift = stage_bracket(stage)

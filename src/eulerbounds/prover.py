@@ -25,6 +25,11 @@ reader can recheck by hand.  Mixed signs give no certificate, never a
 wrong one; the prover then hunts for an exact numeric refutation
 witness instead.  The monic denominator of f'' divides x (x+1)^2 P^2 Q^2,
 which is positive on [1, oo) once P and Q are, so it needs no certificate.
+
+The module also owns what ``prove`` prints: ``render_certificate`` writes
+certificate-format 1 and a line per published table compared, and
+``certificate_json`` the same data as JSON, every rational through
+``algebra.rat_str``; the caller checks first that the numbers print.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import ClassVar, Optional
 
 from .algebra import Poly, RatFunc, Scalar, rat_str
 from .enclosure import RatInterval, fraction_normalized_euler_interval
-from .series import BoundSpec, log_gap_series, lower_bound
+from .series import BoundSpec, Variant, log_gap_series, lower_bound, upper_bound
 
 CERTIFICATE_FORMAT_VERSION = 1
 REFUTATION_WIDTH = Fraction(1, 10**40)
@@ -235,12 +240,6 @@ REFERENCE_UPPER_CERT_NUMERATOR = Poly(
      3763807019677591584768, 565244311814774194176, 38255330631116390400])
 
 
-@dataclass(frozen=True)
-class PolynomialMatch:
-    name: str
-    matches: bool
-
-
 def _denominator_structure_ok(report: ProofReport, cleared: Poly) -> bool:
     """den(f'') must be x^2 (x+1)^2 (12x+11)^2 * cleared^2 up to scale."""
     x = Poly.x()
@@ -248,62 +247,80 @@ def _denominator_structure_ok(report: ProofReport, cleared: Poly) -> bool:
     return report.second_derivative.den.primitive() == target.primitive()
 
 
-def match_reference_polynomials(report: ProofReport) -> list[PolynomialMatch]:
+def match_reference_polynomials(report: ProofReport) -> dict[str, bool]:
     """Compare the recomputed proof polynomials with the published tables.
 
     Entries: the bound's cleared numerator, the squared-denominator
     structure of the second derivative, and the second derivative's
-    shifted numerator.  The tables follow the bound, not the side claimed:
-    the lower bound u is compared with the lower tables, every other bound
-    with the upper ones.  The lower tables carry a positive overall sign
-    and the upper tables a negative one, so the sign of the cleared content
-    is part of the match.
+    shifted numerator.  The tables describe the lower bound u and the
+    upper bound v (either variant), so every other bound gets {}.  They
+    follow the bound, not the side claimed: u is compared with the lower
+    tables, v with the upper ones.  The lower tables carry a positive
+    overall sign and the upper tables a negative one, so the sign of the
+    cleared content is part of the match.
     """
     if report.bound == lower_bound():
-        ref_num = REFERENCE_LOWER_NUMERATOR
-        ref_cert = REFERENCE_LOWER_CERT_NUMERATOR
-        ref_sign = 1
+        ref_num, ref_cert, ref_sign = (REFERENCE_LOWER_NUMERATOR,
+                                       REFERENCE_LOWER_CERT_NUMERATOR, 1)
+    elif report.bound in map(upper_bound, Variant):
+        ref_num, ref_cert, ref_sign = (REFERENCE_UPPER_NUMERATOR,
+                                       REFERENCE_UPPER_CERT_NUMERATOR, -1)
     else:
-        ref_num = REFERENCE_UPPER_NUMERATOR
-        ref_cert = REFERENCE_UPPER_CERT_NUMERATOR
-        ref_sign = -1
-
+        return {}
     bound_num = report.bound.polynomials()[0].primitive()
     content, shifted = report.second_derivative.num.shift(1).content_and_primitive()
-    sign_ok = (content > 0) if ref_sign > 0 else (content < 0)
-    return [
-        PolynomialMatch("bound numerator (cleared)", bound_num == ref_num),
-        PolynomialMatch("second-derivative denominator structure",
-                        _denominator_structure_ok(report, ref_num)),
-        PolynomialMatch("certificate shifted numerator",
-                        sign_ok and shifted == ref_cert),
-    ]
+    return {
+        "bound numerator (cleared)": bound_num == ref_num,
+        "second-derivative denominator structure":
+            _denominator_structure_ok(report, ref_num),
+        "certificate shifted numerator": content * ref_sign > 0 and shifted == ref_cert,
+    }
 
 
 # ---------------------------------------------------------------------------
-# plain-text certificate rendering
+# what ``prove`` prints: certificate-format text and its JSON form
 # ---------------------------------------------------------------------------
 
 
 def render_certificate(report: ProofReport) -> str:
-    """Versioned plain-text form of a proof report."""
-    lines = [f"certificate-format {CERTIFICATE_FORMAT_VERSION}"]
-    lines.append(f"bound: {report.bound.describe()}")
-    lines.append(f"side: {report.side}")
-    cert = report.certificate
-    if cert is None:
-        lines.append("sign-certificate: none")
-    else:
-        lines.append(f"sign: {'+1' if cert.claimed_sign > 0 else '-1'}")
-        lines.append(f"boundary-multiplicity: {cert.boundary_multiplicity}")
-        lines.append("shifted-coefficients: "
-                     + " ".join(rat_str(c) for c in cert.shifted_poly.coeffs))
+    """Versioned plain-text form of a proof report, then one line per
+    published table the bound is compared with."""
+    cert, wit = report.certificate, report.refutation
+    lines = [f"certificate-format {CERTIFICATE_FORMAT_VERSION}",
+             f"bound: {report.bound.describe()}", f"side: {report.side}"]
+    lines += ["sign-certificate: none"] if cert is None else [
+        f"sign: {'+1' if cert.claimed_sign > 0 else '-1'}",
+        f"boundary-multiplicity: {cert.boundary_multiplicity}",
+        "shifted-coefficients: " + " ".join(map(rat_str, cert.shifted_poly.coeffs))]
     lines.append(f"bound-positive: {'yes' if report.bound_positive else 'no'}")
     lines.append("limit-at-infinity: "
                  + ("0 (exact)" if report.limit_at_infinity_ok else "nonzero"))
-    if report.refutation is not None:
-        r = report.refutation
-        lines.append(f"witness: x = {rat_str(r.x)}, bound value {rat_str(r.bound_value)}, "
-                     f"enclosure [{rat_str(r.enclosure.lo)}, {rat_str(r.enclosure.hi)}]")
+    if wit is not None:
+        lines.append(f"witness: x = {rat_str(wit.x)}, bound value {rat_str(wit.bound_value)}, "
+                     f"enclosure [{rat_str(wit.enclosure.lo)}, {rat_str(wit.enclosure.hi)}]")
     lines.append(f"conclusion: {report.conclusion}")
+    lines += (f"reference {name}: {'match' if ok else 'mismatch'}"
+              for name, ok in match_reference_polynomials(report).items())
     return "\n".join(lines)
+
+
+def certificate_json(report: ProofReport) -> dict:
+    """The JSON form of a proof report, the same data as the text form."""
+    cert, wit = report.certificate, report.refutation
+    return {
+        "bound": report.bound.describe(),
+        "side": report.side,
+        "conclusion": report.conclusion,
+        "limit_at_infinity_ok": report.limit_at_infinity_ok,
+        "certificate": None if cert is None else {
+            "sign": cert.claimed_sign,
+            "boundary_multiplicity": cert.boundary_multiplicity,
+            "shifted_coefficients": list(map(rat_str, cert.shifted_poly.coeffs)),
+        },
+        "witness": None if wit is None else {
+            "x": rat_str(wit.x),
+            "bound_value": rat_str(wit.bound_value),
+            "enclosure": [rat_str(wit.enclosure.lo), rat_str(wit.enclosure.hi)],
+        },
+        "reference_matches": match_reference_polynomials(report),
+    }

@@ -80,10 +80,10 @@ def check_lower_certificate() -> tuple[bool, str]:
     """The lower bound is proven and reproduces the published polynomials."""
     report = prove_bound(lower_bound(), "lower")
     matches = match_reference_polynomials(report)
-    ok = report.proven and all(m.matches for m in matches)
+    ok = report.proven and all(matches.values())
     return ok, (f"conclusion={report.conclusion}; "
-                + "; ".join(f"{m.name}: {'match' if m.matches else 'MISMATCH'}"
-                            for m in matches))
+                + "; ".join(f"{name}: {'match' if match else 'MISMATCH'}"
+                            for name, match in matches.items()))
 
 
 def check_variant_adjudication() -> tuple[bool, str]:

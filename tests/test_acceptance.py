@@ -58,8 +58,11 @@ def test_03_correction_coefficients():
 
 def test_04_proof_certificates():
     report = prove_bound(lower_bound(), "lower")
-    matches = {m.name: m.matches for m in match_reference_polynomials(report)}
+    matches = match_reference_polynomials(report)
     ok = (report.proven
+          and list(matches) == ["bound numerator (cleared)",
+                                "second-derivative denominator structure",
+                                "certificate shifted numerator"]
           and matches["bound numerator (cleared)"]
           and matches["certificate shifted numerator"]
           and REFERENCE_LOWER_NUMERATOR.coeff(4) == 0

@@ -130,8 +130,3 @@ class TestSerialization:
     def test_rat_str_roundtrip(self):
         assert rat_str(F(-5, 288)) == "-5/288"
         assert F(rat_str(F(17, 23))) == F(17, 23)
-
-    def test_poly_strings(self):
-        p = P(F(1, 2), -3)
-        assert p.to_strings() == ["1/2", "-3/1"]
-        assert Poly([F(c) for c in p.to_strings()]) == p

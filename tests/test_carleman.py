@@ -17,7 +17,7 @@ from eulerbounds.carleman import (TestSequence, WeightScheme, carleman_sums,
 from eulerbounds.enclosure import (DEFAULT_WIDTH, RatInterval, RefinementExhausted,
                                    _normalized_fixed, euler_number_interval,
                                    integer_nth_root, normalized_below,
-                                   normalized_euler_interval)
+                                   normalized_euler_interval, nth_root_interval)
 from eulerbounds.series import (Variant, bare_optimal_bound, lower_bound,
                                 upper_bound)
 
@@ -176,7 +176,8 @@ class TestSequences:
 
     @pytest.mark.parametrize("seq", [TestSequence.geometric(F(2, 3)),
                                      TestSequence.power_law(2),
-                                     TestSequence.custom([F(1, 2), 3, F(7, 5), 1])])
+                                     TestSequence.custom([F(1, 2), 3, F(7, 5), 1]),
+                                     TestSequence.power_law(7)])
     def test_geometric_mean_enclosure_brackets_product(self, seq):
         for n in range(1, 5):
             iv = seq.geometric_mean_enclosure(n, F(1, 10**20))
@@ -185,6 +186,12 @@ class TestSequences:
                 prod *= seq.term(k)
             assert iv.lo**n <= prod <= iv.hi**n
             assert iv.width <= F(1, 10**20)
+            if seq.kind != "geometric":  # the root of this term-by-term product
+                assert iv == nth_root_interval(prod, n, F(1, 10**20))
+
+    def test_a_mean_past_the_last_custom_term_is_refused(self):
+        with pytest.raises(IndexError):
+            TestSequence.custom([1, 2]).geometric_mean_enclosure(3, F(1, 10**20))
 
     def test_odd_geometric_means_are_exact(self):
         seq = TestSequence.geometric(F(1, 2))

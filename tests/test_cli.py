@@ -1,5 +1,6 @@
 """Command line behaviour: dispatch, exit codes, formats, determinism."""
 
+import functools
 import hashlib
 import importlib
 import io
@@ -14,13 +15,14 @@ from pathlib import Path
 import pytest
 
 import eulerbounds
-from eulerbounds import carleman, cli, enclosure, keller, verify
+from eulerbounds import carleman, cli, enclosure, keller, prover, verify
 from eulerbounds.algebra import Poly
 from eulerbounds.carleman import TestSequence, WeightScheme, carleman_sums
 from eulerbounds.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE,
                              dec_ceil, dec_floor, dec_trunc, index_range, main)
 from eulerbounds.enclosure import RatInterval, RefinementExhausted
-from eulerbounds.series import Variant, classical_bracket, lower_bound, upper_bound
+from eulerbounds.series import (Variant, bare_optimal_bound, classical_bracket,
+                                lower_bound, upper_bound)
 from fractions import Fraction as F
 
 
@@ -391,6 +393,44 @@ class TestProveBytes:
     def test_stdout_digest(self, argv, code, digest):
         got, out = run("prove", *argv)
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# one proof per bound and side, shared by the CLI and the expected output
+cached_prove = functools.cache(prover.prove_bound)
+
+
+def prove_invocations():
+    """Every prove argument list the parser accepts, with the bound, the
+    side and the format it names; only --bound v reads --variant."""
+    for bound, variant, side, fmt in itertools.product(
+            (None, "bare", "u", "v"), (None, "as-written", "dedup"),
+            (None, "lower", "upper"), (None, "text", "json")):
+        if variant and bound != "v":
+            continue
+        flags = (("--bound", bound), ("--variant", variant), ("--side", side),
+                 ("--format", fmt))
+        argv = [arg for flag in flags if flag[1] for arg in flag]
+        spec = {None: lower_bound(), "u": lower_bound(), "bare": bare_optimal_bound(),
+                "v": upper_bound(Variant(variant or "dedup"))}[bound]
+        side = side or ("lower" if bound in (None, "u") else "upper")
+        yield pytest.param(argv, spec, side, fmt or "text", id=" ".join(argv) or "defaults")
+
+
+class TestProveOutput:
+    """prove prints what the prover renders and nothing else, in either format."""
+
+    @pytest.mark.parametrize("argv, bound, side, fmt", prove_invocations())
+    def test_stdout_is_the_rendered_report(self, argv, bound, side, fmt, monkeypatch):
+        import json
+
+        monkeypatch.setattr(prover, "prove_bound", cached_prove)
+        report = cached_prove(bound, side)
+        expected = (prover.render_certificate(report) + "\n" if fmt == "text" else
+                    json.dumps(prover.certificate_json(report), sort_keys=True, indent=2)
+                    + "\n")
+        assert run("prove", *argv) == ({"proven": EXIT_OK, "refuted": EXIT_FAIL,
+                                        "inconclusive": EXIT_UNDECIDED}[report.conclusion],
+                                       expected)
 
 
 class TestExpandBytes:
@@ -868,9 +908,9 @@ class TestEnclosureFailures:
         assert err.startswith("failed:") and "soundness" in err
 
     @pytest.mark.parametrize("seam, argv, inverted", [
-        # at n = 2 stage 3 is the first that can reach 1e-36 and misses it,
+        # at n = 2 stage 3 is the first that can reach 1e-35 and misses it,
         # so the second stage run, inside the first's bracket, is swapped
-        ("_normalized_stage", ("check", "--n", "2", "--width", "1e-36"), 1),
+        ("_normalized_stage", ("check", "--n", "2", "--width", "1e-35"), 1),
         # e at the default 1e-30 runs one stage: that one is swapped
         ("_euler_stage", ("carleman", "--scheme", "simple", "--N", "3"), 0),
     ], ids=["normalized", "e"])

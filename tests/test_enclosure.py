@@ -402,8 +402,8 @@ def stage_intervals(stage_bracket) -> list[tuple[F, F]]:
 
 
 def first_stage(width: F) -> int:
-    """The first stage whose ulp is at most width, or _STAGES if none is."""
-    return next((i for i in range(_STAGES) if F(1, 1 << _stage_prec(i)) <= width), _STAGES)
+    """The first stage whose 8 ulps are at most width, or _STAGES if none is."""
+    return next((i for i in range(_STAGES) if F(8, 1 << _stage_prec(i)) <= width), _STAGES)
 
 
 @contextlib.contextmanager
@@ -430,15 +430,16 @@ def outcome(enclose, *args):
 
 @st.composite
 def boundary_widths(draw, n: F) -> F:
-    """10^-d for d <= 513, or a stage's ulp 2^-prec or its exact width (for
-    e or for n), each also one unit of 2^-(2 prec) lower or higher."""
-    kind = draw(st.sampled_from(("decimal", "ulp", "normalized", "e")))
+    """10^-d for d <= 513, or a stage's ulp 2^-prec, 8 ulps or its exact
+    width (for e or for n), each also one unit of 2^-(2 prec) lower or
+    higher."""
+    kind = draw(st.sampled_from(("decimal", "ulp", "8 ulps", "normalized", "e")))
     if kind == "decimal":
         return F(1, 10 ** draw(st.integers(min_value=1, max_value=513)))
     stage = draw(st.integers(min_value=0, max_value=_STAGES - 1))
     prec = _stage_prec(stage)
-    if kind == "ulp":
-        width = F(1, 1 << prec)
+    if kind in ("ulp", "8 ulps"):
+        width = F(1 if kind == "ulp" else 8, 1 << prec)
     else:
         lo, hi, shift = (_euler_stage(stage) if kind == "e"
                          else _normalized_stage(n.numerator, n.denominator, stage))
@@ -455,8 +456,10 @@ class TestStageSchedule:
     def test_every_stage_is_wider_than_its_ulp(self, stage_bracket):
         for stage, (lo, hi) in enumerate(stage_intervals(stage_bracket)):
             ulp = F(1, 1 << _stage_prec(stage))
-            # and under 2^12 ulps, so the stage after the first that runs passes
-            assert ulp < hi - lo < 2**12 * ulp
+            # more than 8 ulps, so a stage whose 8 ulps exceed the width
+            # cannot pass, and under 2^12 ulps, so the stage after the
+            # first that runs passes
+            assert 8 * ulp < hi - lo < 2**12 * ulp
 
     @pytest.mark.parametrize("stage_bracket", [s for _, s in SCHEDULES],
                              ids=[name for name, _ in SCHEDULES])
@@ -481,8 +484,9 @@ class TestStageSchedule:
             assert runs in ([first], [first, first + 1]) if first < _STAGES else runs == []
 
     @pytest.mark.parametrize("width", [
-        F(1, 1 << _stage_prec(_STAGES - 1)) - F(1, 1 << 4000), F(1, 10**517), F(1, 10**4000),
-        F(0)], ids=["below-the-last-ulp", "1e-517", "1e-4000", "zero"])
+        F(1, 1 << _stage_prec(_STAGES - 1)) - F(1, 1 << 4000),
+        F(8, 1 << _stage_prec(_STAGES - 1)) - F(1, 1 << 4000), F(1, 10**517), F(1, 10**4000),
+        F(0)], ids=["below-the-last-ulp", "below-8-last-ulps", "1e-517", "1e-4000", "zero"])
     def test_an_unreachable_width_runs_no_stage(self, width):
         with counted_stages("_normalized_stage") as runs, pytest.raises(RefinementExhausted):
             normalized_euler_interval(1, width)

@@ -196,11 +196,11 @@ class TestCertifiedBounds:
     def test_prove_classical_bracket(self):
         # 2x/(2x+1) is a lower and (2x+1)/(2x+2) an upper bound on [1, oo)
         for bound, side, shifted in zip(classical_bracket(), ("lower", "upper"),
-                                        (["11/4", "15/4", "5/4"], ["-1/4"])):
+                                        ((F(11, 4), F(15, 4), F(5, 4)), (F(-1, 4),))):
             report = prove_bound(bound, side)
             assert report.proven and report.limit_at_infinity_ok
             assert report.certificate.boundary_multiplicity == 0
-            assert report.certificate.shifted_poly.to_strings() == shifted
+            assert report.certificate.shifted_poly.coeffs == shifted
 
     def test_refute_as_written_upper(self):
         report = prove_bound(upper_bound(Variant.AS_WRITTEN), "upper")
@@ -240,28 +240,41 @@ class TestCertifiedBounds:
         assert not conclusion_from_checks(1, None, True, True)
 
 
+# the published tables each bound u or v is compared with, in printed order
+REFERENCE_TABLES = ["bound numerator (cleared)", "second-derivative denominator structure",
+                    "certificate shifted numerator"]
+
+
 class TestReferenceMatching:
     def test_lower_matches_all(self):
         report = prove_bound(lower_bound(), "lower")
-        assert all(m.matches for m in match_reference_polynomials(report))
+        assert match_reference_polynomials(report) == dict.fromkeys(REFERENCE_TABLES, True)
 
     def test_dedup_upper_matches_all(self):
         report = prove_bound(upper_bound(Variant.DEDUP), "upper")
-        assert all(m.matches for m in match_reference_polynomials(report))
+        assert match_reference_polynomials(report) == dict.fromkeys(REFERENCE_TABLES, True)
 
     def test_as_written_upper_matches_nothing(self):
         # adjudication: the published Q and B tables come from the
         # single-correction form, not the doubled one, on either side
         for side in ("upper", "lower"):
             report = prove_bound(upper_bound(Variant.AS_WRITTEN), side)
-            assert all(not m.matches for m in match_reference_polynomials(report))
+            matches = match_reference_polynomials(report)
+            assert matches == dict.fromkeys(REFERENCE_TABLES, False)
 
     @pytest.mark.parametrize("bound, side", [(lower_bound(), "upper"),
                                              (upper_bound(Variant.DEDUP), "lower")])
     def test_tables_follow_the_bound_not_the_side(self, bound, side):
         report = prove_bound(bound, side)
         assert report.conclusion == "refuted"
-        assert all(m.matches for m in match_reference_polynomials(report))
+        matches = match_reference_polynomials(report)
+        assert list(matches) == REFERENCE_TABLES and all(matches.values())
+
+    @pytest.mark.parametrize("bound", [bare_optimal_bound(), *classical_bracket()],
+                             ids=["bare", "classical-lower", "classical-upper"])
+    def test_other_bounds_have_no_tables(self, bound):
+        for side in ("lower", "upper"):
+            assert match_reference_polynomials(prove_bound(bound, side)) == {}
 
     def test_reference_tables_have_expected_shape(self):
         assert REFERENCE_LOWER_NUMERATOR.degree() == 6
