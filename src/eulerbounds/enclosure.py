@@ -45,13 +45,17 @@ stage, at most two, per enclosure:
   stage), and its ulp is at least 2^26 times finer, so it lies within
   2^-14 ulps of stage i around the value, inside stage i.
 
-So the intersection of stages 0..m is stage m, and ``_refine`` starts
-at the first stage whose 8 ulps are at most the width.  It returns the
-same ``RatInterval`` as intersecting from stage 0, one of exact dyadic
-rationals whose size follows the request (361 bits for the normalized
-value at width 1e-100).  The one comparator, ``normalized_below``,
-skips the intervals: it tests a kernel bracket against integer pairs
-num/den by cross-multiplication.
+So the intersection of stages 0..m is stage m, and the integer core
+``_refine_bracket`` starts at the first stage whose 8 ulps are at most
+the width.  It returns the integers (lo, hi, shift) of the same bracket
+as intersecting from stage 0, whose size follows the request (361 bits
+for the normalized value at width 1e-100).  ``normalized_bracket`` is
+that bracket for the normalized value; ``normalized_euler_interval`` and
+``euler_number_interval`` turn a bracket into a ``RatInterval`` of exact
+dyadic rationals, one Fraction per endpoint.  Two callers skip those
+intervals: the comparator ``normalized_below`` tests a kernel bracket
+against integer pairs num/den by cross-multiplication, and
+``keller.keller_term`` combines the brackets of two values in integers.
 
 The one exception is ``fraction_normalized_euler_interval``: exact
 Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp),
@@ -94,7 +98,8 @@ class RatInterval:
     hi: Fraction
 
     def __init__(self, lo: Scalar, hi: Scalar):
-        lo, hi = Fraction(lo), Fraction(hi)
+        # a Fraction endpoint is kept as it is: Fraction(v) would copy it
+        lo, hi = (v if type(v) is Fraction else Fraction(v) for v in (lo, hi))
         if lo > hi:  # every interval is an enclosure: a fault, not bad input
             raise SoundnessError(f"inverted interval [{lo}, {hi}] (soundness bug)")
         object.__setattr__(self, "lo", lo)
@@ -104,6 +109,12 @@ class RatInterval:
     def point(cls, v: Scalar) -> "RatInterval":
         v = Fraction(v)
         return cls(v, v)
+
+    @classmethod
+    def dyadic(cls, lo: int, hi: int, shift: int) -> "RatInterval":
+        """[lo / 2^shift, hi / 2^shift]: a kernel bracket as an interval."""
+        one = 1 << shift
+        return cls(Fraction(lo, one), Fraction(hi, one))
 
     @property
     def width(self) -> Fraction:
@@ -155,6 +166,12 @@ _GUARD_BITS = 16
 
 def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
             target_width: Fraction) -> RatInterval:
+    """``_refine_bracket``'s result as an interval."""
+    return RatInterval.dyadic(*_refine_bracket(stage_bracket, target_width))
+
+
+def _refine_bracket(stage_bracket: Callable[[int], tuple[int, int, int]],
+                    target_width: Fraction) -> tuple[int, int, int]:
     """Intersect the stages, from the first whose 8 ulps are at most the
     width, until the width test passes.
 
@@ -171,8 +188,8 @@ def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
     The stages that run are still intersected in integers (the older
     bracket shifted up to the newer shift), and the width test
     cross-multiplies, (hi - lo) den <= num 2^shift.  An inverted or
-    disjoint stage is a ``SoundnessError``.  Only the result becomes a
-    ``RatInterval``.
+    disjoint stage is a ``SoundnessError``.  The result is the integers
+    (lo, hi, shift) of the stage that passes, intersected.
     """
     num, den = target_width.numerator, target_width.denominator
     # the first stage whose 8 ulps are at most the width, or _STAGES if none is
@@ -190,8 +207,7 @@ def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
             raise SoundnessError(f"stage {stage} is inverted or disjoint from "
                                  "the earlier ones (soundness bug)")
         if (hi - lo) * den <= num << shift:
-            one = 1 << shift
-            return RatInterval(Fraction(lo, one), Fraction(hi, one))
+            return lo, hi, shift
     raise RefinementExhausted("enclosure refinement failed to reach the target width")
 
 
@@ -299,19 +315,25 @@ def _normalized_stage(p: int, q: int, stage: int) -> tuple[int, int, int]:
     return (*_normalized_fixed(p, q, prec), prec)
 
 
-def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
-    """Enclose (1/e)(1+1/n)^n = exp(n ln(1+1/n) - 1) for rational n >= 1.
+def normalized_bracket(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> tuple[int, int, int]:
+    """Integers (lo, hi, shift) with lo / 2^shift <= (1/e)(1+1/n)^n <= hi / 2^shift,
+    hi - lo <= target_width 2^shift, for rational n >= 1.
 
     Stage i works in integers over 2^prec with prec about (8+8i) log2(10)
     plus guard bits, and its width is below 10^-(8+8i).  The stages nest,
-    so results for tighter targets are contained in results for looser
-    ones.  Endpoints are exact dyadic rationals.
+    so brackets for tighter targets are contained in brackets for looser
+    ones.
     """
     n = Fraction(n)
     if n < 1:
         raise DomainError("normalized sequence value needs n >= 1")
     p, q = n.numerator, n.denominator
-    return _refine(lambda stage: _normalized_stage(p, q, stage), target_width)
+    return _refine_bracket(lambda stage: _normalized_stage(p, q, stage), target_width)
+
+
+def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
+    """``normalized_bracket`` as an interval of exact dyadic rationals."""
+    return RatInterval.dyadic(*normalized_bracket(n, target_width))
 
 
 # ---------------------------------------------------------------------------

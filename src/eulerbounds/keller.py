@@ -12,6 +12,14 @@ normalization).  This module builds each side, and each rate, as an
 unreduced pair of the bounds' integer polynomials, reads the limits off
 leading coefficients, divides out the published displays exactly, and
 checks rigorous numeric convergence tables against the exact rates.
+
+The tables' rows come from the kernel's integer brackets, with no
+interval arithmetic.  ``keller_term`` lifts the brackets of E(n) and
+E(n-1) to a common shift and forms (n+1) a - n b in integers, so x_n is
+built as one Fraction per endpoint, a / 2^s.  A row's rate
+n^2 (x_n - 1) is one more Fraction per endpoint, n^2 (a - 2^s) / 2^s.
+Each sandwich rate is one Fraction, N(n) / D(n), from integer Horner on
+the coefficient tuples of ``rate_sides``, cached per variant.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .algebra import Poly
-from .enclosure import RatInterval, normalized_euler_interval
+from .enclosure import RatInterval, normalized_bracket
 from .series import Variant, lower_bound, upper_bound
 
 DEFAULT_TABLE_WIDTH = Fraction(1, 10**20)
@@ -33,12 +41,18 @@ class DegreeMismatch(ArithmeticError):
 
 
 def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> RatInterval:
-    """Enclose x_n = (n+1) E(n) - n E(n-1) (needs n >= 2) to the requested width."""
+    """Enclose x_n = (n+1) E(n) - n E(n-1) (needs n >= 2) to the requested width.
+
+    The kernel brackets of E(n) and E(n-1), each to its share of the
+    width, are lifted to a common shift and combined in integers."""
     if n < 2:
         raise ValueError("the difference sequence needs n >= 2")
-    here = normalized_euler_interval(n, target_width / (2 * (n + 1)))
-    prev = normalized_euler_interval(n - 1, target_width / (2 * n))
-    return here.scale(n + 1) - prev.scale(n)
+    a_lo, a_hi, a_shift = normalized_bracket(n, target_width / (2 * (n + 1)))
+    b_lo, b_hi, b_shift = normalized_bracket(n - 1, target_width / (2 * n))
+    shift = max(a_shift, b_shift)
+    a_up, b_up = shift - a_shift, shift - b_shift
+    return RatInterval.dyadic((n + 1) * (a_lo << a_up) - n * (b_hi << b_up),
+                              (n + 1) * (a_hi << a_up) - n * (b_lo << b_up), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +71,8 @@ def sandwich_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
                  for (p_a, q_a), (p_b, q_b) in ((u, v), (v, u)))
 
 
-# Cached: convergence_table evaluates the pairs on every row.
+# Cached: a build costs about 0.3 ms, and the limits, the display forms
+# and the coefficient tuples all read them.
 @functools.cache
 def rate_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
     """Unreduced (n^2 (N - D), D): the rates n^2 (side - 1) of both sides."""
@@ -65,23 +80,32 @@ def rate_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
     return tuple(((num - den) * n2, den) for num, den in sandwich_sides(variant))
 
 
+# Cached: sandwich_rates evaluates them for every n, once per table row.
+@functools.cache
+def _rate_coefficients(variant: Variant) -> tuple[tuple[int, ...], ...]:
+    """The integer coefficients of rate_sides' four polynomials, highest first."""
+    return tuple(tuple(c.numerator for c in reversed(p.coeffs))
+                 for pair in rate_sides(variant) for p in pair)
+
+
+def _integer_horner(coeffs: tuple[int, ...], n: int) -> int:
+    """The polynomial with these integer coefficients, highest first, at n."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * n + c
+    return acc
+
+
 def sandwich_rates(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
     """Exact n^2 (side - 1) of the lower and the upper side at integer n >= 2."""
     if n < 2:
         raise ValueError("the sandwich needs n >= 2 (it evaluates the bounds at n-1)")
-    low, high = (Fraction(_integer_horner(num, n), _integer_horner(den, n))
-                 for num, den in rate_sides(variant))
+    low_num, low_den, high_num, high_den = (_integer_horner(coeffs, n)
+                                            for coeffs in _rate_coefficients(variant))
+    low, high = Fraction(low_num, low_den), Fraction(high_num, high_den)
     if not low < high:
         raise ArithmeticError(f"sandwich sides out of order at n={n}")
     return low, high
-
-
-def _integer_horner(p: Poly, n: int) -> int:
-    """p(n) in integers: the sides and rates have integer coefficients."""
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = acc * n + c.numerator
-    return acc
 
 
 def _leading_ratio(num: Poly, den: Poly) -> Fraction:
@@ -188,13 +212,16 @@ def convergence_table(ns: Iterable[int],
     """Rows of rigorous n^2 (x_n - 1) enclosures with the exact sandwich pair.
 
     The x_n enclosure is requested at target_width / n^2 so that the
-    scaled rate interval meets target_width; containment in the exact
+    rate interval n^2 (x_n - 1) meets target_width; containment in the exact
     sandwich is a consequence of the certified bounds and is asserted
     downstream rather than assumed.
     """
     rows = []
     for n in ns:
-        term = keller_term(n, target_width / (n * n))
-        rate = (term - 1).scale(n * n)
+        n2 = n * n
+        term = keller_term(n, target_width / n2)
+        # each endpoint a / d of x_n, d a power of 2, gives n^2 (a - d) / d
+        rate = RatInterval(*(Fraction(n2 * (end.numerator - end.denominator), end.denominator)
+                             for end in (term.lo, term.hi)))
         rows.append(ConvergenceRow(n, rate, *sandwich_rates(n, variant)))
     return rows

@@ -7,13 +7,15 @@ Frozen decimals were computed independently at 60-digit working precision
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eulerbounds.enclosure import RatInterval
+from eulerbounds.enclosure import RatInterval, normalized_euler_interval
 from eulerbounds import keller
 from eulerbounds.algebra import Poly
 from eulerbounds.keller import (DISPLAY_DENOMINATOR_CONSTANT, ConvergenceRow,
                                 DegreeMismatch, _leading_ratio, convergence_table,
-                                display_forms, keller_term, sandwich_limits,
+                                display_forms, keller_term, rate_sides, sandwich_limits,
                                 sandwich_rates, sandwich_sides)
 from eulerbounds.series import Variant, lower_bound, upper_bound
 
@@ -22,6 +24,31 @@ X10 = F("1.00041839499388026020051005447100731102878979")
 RATE10 = F("0.0418394993880260200510054471007311028789789804")
 RATE100 = F("0.0416683855118316248938978227516701544293207616")
 RATE1000 = F("0.0416666838541761825595510603561809975583508154")
+
+
+def reference_row(n: int, width: F, variant: Variant) -> ConvergenceRow:
+    """A table row as first composed: two interval enclosures scaled and
+    subtracted, then shifted by 1 and scaled by n^2, and the sandwich rates
+    from Fraction arithmetic on the rate polynomials."""
+    width = width / (n * n)
+    here = normalized_euler_interval(n, width / (2 * (n + 1)))
+    prev = normalized_euler_interval(n - 1, width / (2 * n))
+    rate = (here.scale(n + 1) - prev.scale(n) - 1).scale(n * n)
+    low, high = (sum(c * n**k for k, c in enumerate(num.coeffs))
+                 / sum(c * n**k for k, c in enumerate(den.coeffs))
+                 for num, den in rate_sides(variant))
+    if not low < high:
+        raise ArithmeticError(f"sandwich sides out of order at n={n}")
+    return ConvergenceRow(n, rate, low, high)
+
+
+def row_or_error(make_row) -> tuple:
+    """A row's printed fields, or the type and message of what it raised."""
+    try:
+        row = make_row()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return row.rate, row.sandwich_lo, row.sandwich_hi, row.outcome
 
 
 class TestKellerTerm:
@@ -171,6 +198,29 @@ class TestConvergenceTable:
         row = ConvergenceRow(10, rate, F(1), F(4))
         assert row.outcome == outcome
         assert row.contained == (outcome == "contained")
+
+    # digits None stands for the non-round width 10^-60 / n^2
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 10**6), st.one_of(st.integers(1, 500), st.none()),
+           st.sampled_from(Variant))
+    @example(3, 12, Variant.AS_WRITTEN)  # the as-written sides out of order
+    @example(3, 600, Variant.AS_WRITTEN)  # past the last stage, raised before the order
+    @example(10**6, 500, Variant.DEDUP)  # past the last stage at the largest n
+    def test_rows_are_the_interval_composition(self, n, digits, variant):
+        width = F(1, 10**60 * n * n) if digits is None else F(1, 10**digits)
+        assert (row_or_error(lambda: convergence_table([n], width, variant)[0])
+                == row_or_error(lambda: reference_row(n, width, variant)))
+
+    def test_rows_need_no_interval_arithmetic(self, monkeypatch):
+        width = F(1, 10**12)
+        expected = [reference_row(n, width, Variant.DEDUP) for n in (10, 100, 1000)]
+
+        def refuse(*args):
+            raise AssertionError("a table row used interval arithmetic")
+
+        for name in ("__add__", "__sub__", "scale"):
+            monkeypatch.setattr(RatInterval, name, refuse)
+        assert convergence_table([10, 100, 1000], width) == expected
 
     def test_degree_mismatch_guard_exists(self):
         # regression tripwire: a malformed (numerator, denominator) pair must raise
