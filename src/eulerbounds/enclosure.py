@@ -24,8 +24,8 @@ in ulps (units of 2^-prec) on what the floors lost:
 A stage is three integers (lo, hi, shift) standing for
 [lo / 2^shift, hi / 2^shift].  Stage i has prec = ``_stage_prec(i)``
 fraction bits, at least 26 more than stage i - 1, and its ulp is
-2^-prec.  Two facts about this schedule let ``_refine`` compute one
-stage, at most two, per enclosure:
+2^-prec.  Two facts about this schedule let ``_refine_bracket`` compute
+one stage, at most two, per enclosure:
 
 * Width floor: every stage is more than 8 ulps wide.  With K terms in
   the exp sum, the normalized value spans 4K + 2 + 2 (x_hi - x_lo) ulps,
@@ -49,13 +49,21 @@ So the intersection of stages 0..m is stage m, and the integer core
 ``_refine_bracket`` starts at the first stage whose 8 ulps are at most
 the width.  It returns the integers (lo, hi, shift) of the same bracket
 as intersecting from stage 0, whose size follows the request (361 bits
-for the normalized value at width 1e-100).  ``normalized_bracket`` is
-that bracket for the normalized value; ``normalized_euler_interval`` and
-``euler_number_interval`` turn a bracket into a ``RatInterval`` of exact
-dyadic rationals, one Fraction per endpoint.  Two callers skip those
-intervals: the comparator ``normalized_below`` tests a kernel bracket
-against integer pairs num/den by cross-multiplication, and
-``keller.keller_term`` combines the brackets of two values in integers.
+for the normalized value at width 1e-100).
+
+The kernel's boundary is integers.  A width goes in as an integer ratio
+num/den, unreduced, since the start rule and the width test are
+homogeneous in (num, den): ``normalized_bracket`` is the bracket for the
+normalized value at such a width.  A Fraction is built only where a
+call returns it:
+
+* ``normalized_euler_interval``, ``euler_number_interval`` and
+  ``keller.keller_term`` return a ``RatInterval`` of exact dyadic
+  rationals, one Fraction per endpoint; ``RatInterval.dyadic`` checks
+  the order on the integers before building them.
+* The checks compare that interval with the bounds' values as Fractions.
+* The comparator ``normalized_below`` tests a kernel bracket against
+  integer pairs num/den by cross-multiplication and builds none.
 
 The one exception is ``fraction_normalized_euler_interval``: exact
 Fraction stages (``ln1p_to_width`` and an adaptive Taylor sum for exp),
@@ -102,6 +110,9 @@ class RatInterval:
         lo, hi = (v if type(v) is Fraction else Fraction(v) for v in (lo, hi))
         if lo > hi:  # every interval is an enclosure: a fault, not bad input
             raise SoundnessError(f"inverted interval [{lo}, {hi}] (soundness bug)")
+        self._set(lo, hi)
+
+    def _set(self, lo: Fraction, hi: Fraction) -> None:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -112,9 +123,15 @@ class RatInterval:
 
     @classmethod
     def dyadic(cls, lo: int, hi: int, shift: int) -> "RatInterval":
-        """[lo / 2^shift, hi / 2^shift]: a kernel bracket as an interval."""
+        """[lo / 2^shift, hi / 2^shift]: a kernel bracket as an interval.
+        The order is checked on the integers, before either Fraction is built."""
+        if lo > hi:
+            raise SoundnessError(f"inverted dyadic interval [{lo}, {hi}] / 2^{shift} "
+                                 "(soundness bug)")
         one = 1 << shift
-        return cls(Fraction(lo, one), Fraction(hi, one))
+        interval = object.__new__(cls)
+        interval._set(Fraction(lo, one), Fraction(hi, one))
+        return interval
 
     @property
     def width(self) -> Fraction:
@@ -164,26 +181,47 @@ _STAGES = 64
 _GUARD_BITS = 16
 
 
-def _refine(stage_bracket: Callable[[int], tuple[int, int, int]],
-            target_width: Fraction) -> RatInterval:
-    """``_refine_bracket``'s result as an interval."""
-    return RatInterval.dyadic(*_refine_bracket(stage_bracket, target_width))
+def _stage_prec(stage: int) -> int:
+    """Fraction bits of stage i: its digit target 8+8i in bits, plus guard bits."""
+    return (8 + 8 * stage) * 3322 // 1000 + _GUARD_BITS  # log2(10) ~ 3.322
+
+
+_STAGE_PRECS = tuple(map(_stage_prec, range(_STAGES)))
+
+
+def _first_stage(num: int, den: int) -> int:
+    """The first stage whose 8 ulps are at most the width num/den, den > 0,
+    or _STAGES if none is.
+
+    That stage's prec is the first at least b, the fewest bits with
+    num 2^b >= 8 den: num 2^b has num's bit length plus b bits, so b is
+    the difference of the bit lengths or one more.
+    """
+    if num <= 0:
+        return _STAGES
+    eight_den = 8 * den
+    bits = max(eight_den.bit_length() - num.bit_length(), 0)
+    if num << bits < eight_den:
+        bits += 1
+    return bisect_left(_STAGE_PRECS, bits)
 
 
 def _refine_bracket(stage_bracket: Callable[[int], tuple[int, int, int]],
-                    target_width: Fraction) -> tuple[int, int, int]:
+                    num: int, den: int) -> tuple[int, int, int]:
     """Intersect the stages, from the first whose 8 ulps are at most the
-    width, until the width test passes.
+    width num/den, until the width test passes.
 
+    The width is an integer ratio, den > 0, not necessarily in lowest
+    terms: the start rule and the width test are homogeneous in (num, den).
     Stage i returns integers (lo, hi, shift) standing for the bracket
     [lo / 2^shift, hi / 2^shift], and shift never falls from one stage to
     the next.  Every stage is more than 8 ulps (2^-prec) wide, prec =
     ``_stage_prec(i)``, and lies strictly inside every earlier one (the
     module docstring proves both).  So no stage before the first with
-    num 2^prec >= 8 den, for the target num/den, can pass, and starting
-    there returns the same rationals as starting at stage 0.  That stage
-    or the next passes; a width below 8 ulps of the last stage raises
-    ``RefinementExhausted`` before any stage runs.
+    num 2^prec >= 8 den can pass, and starting there returns the same
+    rationals as starting at stage 0.  That stage or the next passes; a
+    width below 8 ulps of the last stage raises ``RefinementExhausted``
+    before any stage runs.
 
     The stages that run are still intersected in integers (the older
     bracket shifted up to the newer shift), and the width test
@@ -191,11 +229,8 @@ def _refine_bracket(stage_bracket: Callable[[int], tuple[int, int, int]],
     disjoint stage is a ``SoundnessError``.  The result is the integers
     (lo, hi, shift) of the stage that passes, intersected.
     """
-    num, den = target_width.numerator, target_width.denominator
-    # the first stage whose 8 ulps are at most the width, or _STAGES if none is
-    first = bisect_left(range(_STAGES), True, key=lambda i: num << _stage_prec(i) >= 8 * den)
     lo = hi = shift = None
-    for stage in range(first, _STAGES):
+    for stage in range(_first_stage(num, den), _STAGES):
         cur_lo, cur_hi, cur_shift = stage_bracket(stage)
         if lo is not None:
             up = cur_shift - shift
@@ -209,11 +244,6 @@ def _refine_bracket(stage_bracket: Callable[[int], tuple[int, int, int]],
         if (hi - lo) * den <= num << shift:
             return lo, hi, shift
     raise RefinementExhausted("enclosure refinement failed to reach the target width")
-
-
-def _stage_prec(stage: int) -> int:
-    """Fraction bits of stage i: its digit target 8+8i in bits, plus guard bits."""
-    return (8 + 8 * stage) * 3322 // 1000 + _GUARD_BITS  # log2(10) ~ 3.322
 
 
 def _ln1p_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
@@ -290,7 +320,7 @@ def euler_number_interval(width: Fraction = DEFAULT_WIDTH) -> RatInterval:
     The stages are fixed point and nest like those of
     ``normalized_euler_interval``: dyadic endpoints, nested results.
     """
-    return _refine(_euler_stage, width)
+    return RatInterval.dyadic(*_refine_bracket(_euler_stage, width.numerator, width.denominator))
 
 
 def _normalized_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
@@ -315,25 +345,28 @@ def _normalized_stage(p: int, q: int, stage: int) -> tuple[int, int, int]:
     return (*_normalized_fixed(p, q, prec), prec)
 
 
-def normalized_bracket(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> tuple[int, int, int]:
+def normalized_bracket(n: Scalar, num: int, den: int) -> tuple[int, int, int]:
     """Integers (lo, hi, shift) with lo / 2^shift <= (1/e)(1+1/n)^n <= hi / 2^shift,
-    hi - lo <= target_width 2^shift, for rational n >= 1.
+    (hi - lo) den <= num 2^shift, for rational n >= 1 and the width num/den,
+    den > 0, an integer ratio not necessarily in lowest terms.
 
     Stage i works in integers over 2^prec with prec about (8+8i) log2(10)
     plus guard bits, and its width is below 10^-(8+8i).  The stages nest,
     so brackets for tighter targets are contained in brackets for looser
     ones.
     """
-    n = Fraction(n)
-    if n < 1:
-        raise DomainError("normalized sequence value needs n >= 1")
+    if not isinstance(n, (int, Fraction)):
+        n = Fraction(n)
     p, q = n.numerator, n.denominator
-    return _refine_bracket(lambda stage: _normalized_stage(p, q, stage), target_width)
+    if p < q:
+        raise DomainError("normalized sequence value needs n >= 1")
+    return _refine_bracket(lambda stage: _normalized_stage(p, q, stage), num, den)
 
 
 def normalized_euler_interval(n: Scalar, target_width: Fraction = DEFAULT_WIDTH) -> RatInterval:
     """``normalized_bracket`` as an interval of exact dyadic rationals."""
-    return RatInterval.dyadic(*normalized_bracket(n, target_width))
+    return RatInterval.dyadic(*normalized_bracket(n, target_width.numerator,
+                                                  target_width.denominator))
 
 
 # ---------------------------------------------------------------------------

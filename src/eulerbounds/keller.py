@@ -14,12 +14,13 @@ leading coefficients, divides out the published displays exactly, and
 checks rigorous numeric convergence tables against the exact rates.
 
 The tables' rows come from the kernel's integer brackets, with no
-interval arithmetic.  ``keller_term`` lifts the brackets of E(n) and
-E(n-1) to a common shift and forms (n+1) a - n b in integers, so x_n is
-built as one Fraction per endpoint, a / 2^s.  A row's rate
+interval arithmetic.  ``keller_term`` hands the kernel each value's
+share of the width as an unreduced integer ratio, lifts the brackets of
+E(n) and E(n-1) to a common shift and forms (n+1) a - n b in integers,
+so x_n is built as one Fraction per endpoint, a / 2^s.  A row's rate
 n^2 (x_n - 1) is one more Fraction per endpoint, n^2 (a - 2^s) / 2^s.
-Each sandwich rate is one Fraction, N(n) / D(n), from integer Horner on
-the coefficient tuples of ``rate_sides``, cached per variant.
+Each sandwich rate is one Fraction, N(n) / D(n), from one integer Horner
+pass over the coefficient rows of ``rate_sides``, cached per variant.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ def keller_term(n: int, target_width: Fraction = DEFAULT_TABLE_WIDTH) -> RatInte
     """Enclose x_n = (n+1) E(n) - n E(n-1) (needs n >= 2) to the requested width.
 
     The kernel brackets of E(n) and E(n-1), each to its share of the
-    width, are lifted to a common shift and combined in integers."""
+    width as an unreduced integer ratio, are lifted to a common shift and
+    combined in integers."""
     if n < 2:
         raise ValueError("the difference sequence needs n >= 2")
-    a_lo, a_hi, a_shift = normalized_bracket(n, target_width / (2 * (n + 1)))
-    b_lo, b_hi, b_shift = normalized_bracket(n - 1, target_width / (2 * n))
+    num, den = target_width.numerator, target_width.denominator
+    a_lo, a_hi, a_shift = normalized_bracket(n, num, 2 * (n + 1) * den)
+    b_lo, b_hi, b_shift = normalized_bracket(n - 1, num, 2 * n * den)
     shift = max(a_shift, b_shift)
     a_up, b_up = shift - a_shift, shift - b_shift
     return RatInterval.dyadic((n + 1) * (a_lo << a_up) - n * (b_hi << b_up),
@@ -82,26 +85,22 @@ def rate_sides(variant: Variant) -> tuple[tuple[Poly, Poly], ...]:
 
 # Cached: sandwich_rates evaluates them for every n, once per table row.
 @functools.cache
-def _rate_coefficients(variant: Variant) -> tuple[tuple[int, ...], ...]:
-    """The integer coefficients of rate_sides' four polynomials, highest first."""
-    return tuple(tuple(c.numerator for c in reversed(p.coeffs))
-                 for pair in rate_sides(variant) for p in pair)
-
-
-def _integer_horner(coeffs: tuple[int, ...], n: int) -> int:
-    """The polynomial with these integer coefficients, highest first, at n."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * n + c
-    return acc
+def _rate_coefficients(variant: Variant) -> tuple[tuple[int, int, int, int], ...]:
+    """The integer coefficients of rate_sides' four polynomials, one row per
+    power of n, highest first: the rows of one Horner pass over all four."""
+    polys = [p for pair in rate_sides(variant) for p in pair]
+    return tuple(tuple(p.coeff(k).numerator for p in polys)
+                 for k in range(max(p.degree() for p in polys), -1, -1))
 
 
 def sandwich_rates(n: int, variant: Variant = Variant.DEDUP) -> tuple[Fraction, Fraction]:
     """Exact n^2 (side - 1) of the lower and the upper side at integer n >= 2."""
     if n < 2:
         raise ValueError("the sandwich needs n >= 2 (it evaluates the bounds at n-1)")
-    low_num, low_den, high_num, high_den = (_integer_horner(coeffs, n)
-                                            for coeffs in _rate_coefficients(variant))
+    low_num = low_den = high_num = high_den = 0
+    for a, b, c, d in _rate_coefficients(variant):
+        low_num, low_den, high_num, high_den = (low_num * n + a, low_den * n + b,
+                                                high_num * n + c, high_den * n + d)
     low, high = Fraction(low_num, low_den), Fraction(high_num, high_den)
     if not low < high:
         raise ArithmeticError(f"sandwich sides out of order at n={n}")
@@ -220,8 +219,12 @@ def convergence_table(ns: Iterable[int],
     for n in ns:
         n2 = n * n
         term = keller_term(n, target_width / n2)
-        # each endpoint a / d of x_n, d a power of 2, gives n^2 (a - d) / d
-        rate = RatInterval(*(Fraction(n2 * (end.numerator - end.denominator), end.denominator)
-                             for end in (term.lo, term.hi)))
+        # x_n's endpoints are a / d, d a power of 2; lifted to the larger d,
+        # 2^s, each gives the rate endpoint n^2 (a - 2^s) / 2^s
+        lo, hi = term.lo, term.hi
+        one = max(lo.denominator, hi.denominator)
+        rate = RatInterval.dyadic(n2 * (lo.numerator * (one // lo.denominator) - one),
+                                  n2 * (hi.numerator * (one // hi.denominator) - one),
+                                  one.bit_length() - 1)
         rows.append(ConvergenceRow(n, rate, *sandwich_rates(n, variant)))
     return rows

@@ -8,6 +8,7 @@ test must trap them.
 import contextlib
 import functools
 import hashlib
+import random
 import signal
 from fractions import Fraction as F
 from unittest import mock
@@ -22,12 +23,14 @@ from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.enclosure import (DomainError, RatInterval,
                                    RefinementExhausted, SoundnessError, _STAGES,
                                    _euler_stage, _exp_fixed, _ln1p_fixed,
-                                   _normalized_stage, _refine, _stage_prec,
+                                   _normalized_stage, _refine_bracket,
+                                   _stage_prec,
                                    check_classic_at,
                                    check_certified_at, euler_number_interval,
                                    fraction_normalized_euler_interval,
                                    integer_nth_root, ln1p_to_width, normalized_below,
                                    normalized_euler_interval, nth_root_interval)
+from eulerbounds.keller import convergence_table, keller_term
 from eulerbounds.series import Variant, lower_bound, upper_bound
 
 LN2 = F("0.693147180559945309417232121458176568075500134")
@@ -308,8 +311,8 @@ def reference_exp_fixed(x: int, prec: int) -> tuple[int, int]:
 
 
 def reference_refine(stage_bracket, target_width: F) -> RatInterval:
-    """``_refine`` as first written: each stage a RatInterval, intersected
-    and width-tested as Fractions."""
+    """The refinement as first written: each stage a RatInterval,
+    intersected and width-tested as Fractions, from stage 0."""
     best = None
     for stage in range(_STAGES):
         lo, hi, shift = stage_bracket(stage)
@@ -374,7 +377,7 @@ class TestFixedPointKernel:
     def test_an_empty_intersection_is_a_soundness_failure(self, stages):
         # every stage's ulp is below 1/2, so the run starts at stage 0
         with pytest.raises(SoundnessError):
-            _refine(lambda stage: stages[stage], F(1, 2))
+            _refine_bracket(lambda stage: stages[stage], 1, 2)
 
     @pytest.mark.parametrize("digits", [300, 500])
     def test_contains_the_oracle_at_three_times_the_digits(self, digits):
@@ -551,6 +554,51 @@ class TestChecks:
                 verdict = normalized_below(n, lower.eval_pair(n), upper.eval_pair(n))
                 assert ((verdict == [False, True])
                         == check_certified_at(n, variant, W30).holds)
+
+
+def check_line(res) -> str:
+    """Every field of a CheckResult, status and side included."""
+    return (f"{res.status} {res.side} {res.n} {res.enclosure.lo} {res.enclosure.hi} "
+            f"{res.lower_value} {res.upper_value}\n")
+
+
+def boundary_sweep_lines():
+    """Every field a seeded sweep over the kernel's integer boundary returns:
+    both certified checks and the classic one, Keller terms, table rows, and
+    e at the endpoint widths.  Widths carry numerators besides 1."""
+    rng = random.Random(27)
+
+    def width() -> F:
+        return F(rng.randint(1, 99), 10 ** rng.choice((8, 12, 20, 40, 60, 120)))
+
+    for _ in range(100):
+        q = rng.randint(1, 16)
+        n, w = F(rng.randrange(q, 2000 * q), q), width()
+        for variant in Variant:
+            yield f"check {variant.value} {w} " + check_line(check_certified_at(n, variant, w))
+        yield f"check classic {w} " + check_line(check_classic_at(n, w))
+    for _ in range(50):
+        n, w = rng.randrange(2, 5000), width()
+        term = keller_term(n, w)
+        yield f"term {n} {w} {term.lo} {term.hi}\n"
+    for _ in range(20):
+        ns, w = [rng.randrange(2, 10**4) for _ in range(3)], width()
+        for row in convergence_table(ns, w):
+            yield (f"row {w} {row.n} {row.rate.lo} {row.rate.hi} "
+                   f"{row.sandwich_lo} {row.sandwich_hi} {row.outcome}\n")
+    for d in ENDPOINT_DIGITS:
+        iv = euler_number_interval(F(1, 10**d))
+        yield f"e 1e-{d} {iv.lo} {iv.hi}\n"
+
+
+class TestIntegerBoundary:
+    def test_sweep_returns_the_rationals_it_always_did(self):
+        lines = list(boundary_sweep_lines())
+        # the sweep reaches every outcome of a check
+        assert {line.split()[3] for line in lines if line.startswith("check")} == {
+            "holds", "fails", "undecided"}
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "571f286ce545a99d21c344081b71e603ba8ce8bb63a538302e1913c9859abb58"
 
 
 class TestRoots:
