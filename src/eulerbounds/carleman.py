@@ -22,10 +22,11 @@ and each power-law mean is a root of the running product bracketed over
 the power of ten set by the requested width, so neither sum grows its
 endpoints with the number of terms.  Those root brackets nest as the
 width shrinks, so lhs.hi <= rhs.lo at a coarse width holds at every
-finer one: ``verify-all`` decides its sums at 1e-12, while
-``carleman_sums`` and the ``carleman`` command enclose at DEFAULT_WIDTH,
-the enclosure they print.  Each e-multiple is e's enclosure times an
-exact rational, so its width is relative and no sum is too large to decide.
+finer one: ``verify-all`` decides each sum at the coarsest of 1, 1e-6
+and 1e-12 that decides it, while ``carleman_sums`` and the ``carleman``
+command enclose at DEFAULT_WIDTH, the enclosure they print.  Each
+e-multiple is e's enclosure times an exact rational, so its width is
+relative and no sum is too large to decide.
 """
 
 from __future__ import annotations
@@ -114,7 +115,8 @@ class TestSequence:
             raise IndexError(f"custom sequence has only {len(self.values)} terms")
         return self.values[n - 1]
 
-    def geometric_mean_enclosure(self, n: int, width: Fraction) -> RatInterval:
+    def geometric_mean_enclosure(self, n: int, width: Fraction,
+                                 product: Optional[Fraction] = None) -> RatInterval:
         """Enclose (a_1 ... a_n)^(1/n) to the given width.
 
         Geometric: the product is r^(n(n+1)/2), so the mean is
@@ -123,8 +125,10 @@ class TestSequence:
         1/(n!)^p, an exact point when (n!)^p is a perfect n-th power and
         otherwise a bracket whose endpoints share the decimal denominator
         10^d, 10^-d <= width, so that a sum of such means keeps that one
-        denominator.  Custom: root of the running product (quadratic
-        cost; fine for the table sizes used here).
+        denominator.  Custom: the root of ``product``, a_1 ... a_n, which
+        ``geometric_means`` keeps running so that a sum costs one product
+        step per term; without it the product is built here.  Only the
+        custom mean reads ``product``.
         """
         if self.kind == "geometric":
             r = self.ratio
@@ -134,8 +138,10 @@ class TestSequence:
             return nth_root_interval(r, 2, width / base).scale(base)
         if self.kind == "powerlaw":
             return nth_root_interval(Fraction(1, math.factorial(n) ** self.exponent), n, width)
-        self.term(n)  # past the last custom term this raises IndexError
-        return nth_root_interval(math.prod(self.values[:n]), n, width)
+        if product is None:
+            self.term(n)  # past the last custom term this raises IndexError
+            product = math.prod(self.values[:n])
+        return nth_root_interval(product, n, width)
 
     def describe(self) -> str:
         if self.kind == "geometric":
@@ -279,7 +285,14 @@ def geometric_means(seq: TestSequence, N: int,
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return [seq.geometric_mean_enclosure(n, width / N) for n in range(1, N + 1)]
+    width /= N
+    if seq.kind != "custom":  # closed forms, which read no product
+        return [seq.geometric_mean_enclosure(n, width) for n in range(1, N + 1)]
+    means, product = [], Fraction(1)
+    for n in range(1, N + 1):
+        product *= seq.term(n)  # past the last term this raises IndexError
+        means.append(seq.geometric_mean_enclosure(n, width, product))
+    return means
 
 
 def geometric_mean_sum(seq: TestSequence, N: int,

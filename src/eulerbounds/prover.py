@@ -159,7 +159,12 @@ def conclusion_from_checks(required_sign: int,
             and limit_ok)
 
 
-def _search_refutation(bound: BoundSpec, side: str) -> Optional[Refutation]:
+def refute_bound(bound: BoundSpec, side: str) -> Optional[Refutation]:
+    """The first point of ``REFUTATION_GRID`` at which (1/e)(1+1/x)^x is
+    enclosed strictly on the wrong side of bound(x) for the claimed side,
+    as an exact witness, or None.  A witness refutes the claim by itself:
+    no certificate attempt is needed, or made, to find one."""
+    _required_sign(side)
     for x in REFUTATION_GRID:
         try:
             value = bound.eval(x)
@@ -201,7 +206,7 @@ def prove_bound(bound: BoundSpec, side: str) -> ProofReport:
     if conclusion_from_checks(required, certificate, bound_positive, limit_ok):
         return ProofReport(bound, side, h, certificate, bound_positive,
                            limit_ok, "proven")
-    refutation = _search_refutation(bound, side)
+    refutation = refute_bound(bound, side)
     if refutation is not None:
         return ProofReport(bound, side, h, certificate, bound_positive,
                            limit_ok, "refuted", refutation)

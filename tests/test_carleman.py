@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from eulerbounds import enclosure
 from eulerbounds.carleman import (TestSequence, WeightScheme, carleman_sums,
                                   epsilon_term, geometric_mean_sum,
+                                  geometric_means,
                                   polya_identities, telescoping_weight,
                                   termwise_weight_chain, weight_over_e,
                                   weighted_sum, weights)
@@ -193,6 +194,22 @@ class TestSequences:
         with pytest.raises(IndexError):
             TestSequence.custom([1, 2]).geometric_mean_enclosure(3, F(1, 10**20))
 
+    def test_custom_means_take_the_running_product(self, monkeypatch):
+        """One mean per n, each the root of the product ``geometric_means``
+        keeps, equal to the mean built without it; no mean past the end."""
+        seq = TestSequence.custom([F(1, 2), 3, F(7, 5), 1])
+        calls = []
+        enclose = TestSequence.geometric_mean_enclosure
+        monkeypatch.setattr(TestSequence, "geometric_mean_enclosure",
+                            lambda s, n, width, product=None:
+                            calls.append((n, product)) or enclose(s, n, width, product))
+        width = F(1, 10**20)
+        means = geometric_means(seq, 4, width)
+        assert calls == [(1, F(1, 2)), (2, F(3, 2)), (3, F(21, 10)), (4, F(21, 10))]
+        assert means == [enclose(seq, n, width / 4) for n in range(1, 5)]
+        with pytest.raises(IndexError):
+            geometric_means(seq, 5)
+
     def test_odd_geometric_means_are_exact(self):
         seq = TestSequence.geometric(F(1, 2))
         iv = seq.geometric_mean_enclosure(3, F(1, 10**30))
@@ -291,8 +308,9 @@ def power_law_lhs(p: int, N: int) -> RatInterval:
 
 
 class TestMeanSumNesting:
-    """verify-all decides its sums at 1e-12 and trusts the verdict at
-    DEFAULT_WIDTH: that needs the coarse lhs to contain the fine one."""
+    """verify-all decides its sums at the coarsest of 1, 1e-6 and 1e-12
+    that decides and trusts the verdict at DEFAULT_WIDTH: that needs each
+    coarser lhs to contain the finer ones."""
 
     @pytest.mark.parametrize("seq", [TestSequence.geometric(F(1, 2)),
                                      TestSequence.geometric(F(9, 10)),
@@ -300,9 +318,11 @@ class TestMeanSumNesting:
                              ids=lambda seq: seq.describe())
     @pytest.mark.parametrize("N", [1, 2, 17, 200])
     def test_coarse_lhs_contains_the_default_width_lhs(self, seq, N):
-        coarse, fine = mean_sum(seq, N, F(1, 10**12)), mean_sum(seq, N)
-        assert coarse.width <= F(1, 10**12)
-        assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
+        widths = [F(1), F(1, 10**6), F(1, 10**12), DEFAULT_WIDTH]
+        sums = [mean_sum(seq, N, width) for width in widths]
+        for width, coarse, fine in zip(widths, sums, sums[1:]):
+            assert coarse.width <= width
+            assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
 
 
 class TestPowerLawOracle:

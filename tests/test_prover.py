@@ -16,7 +16,8 @@ from eulerbounds.prover import (REFERENCE_LOWER_CERT_NUMERATOR,
                                 conclusion_from_checks,
                                 log_gap_second_derivative,
                                 match_reference_polynomials, prove_bound,
-                                render_certificate, sign_certificate)
+                                refute_bound, render_certificate,
+                                sign_certificate)
 from eulerbounds.series import (BoundSpec, Variant, bare_optimal_bound,
                                classical_bracket, lower_bound, truncated_bound,
                                upper_bound)
@@ -222,6 +223,20 @@ class TestCertifiedBounds:
         # x/(x - 1) has its pole at the first grid point, x = 1
         for side in ("lower", "upper"):
             assert prove_bound(BoundSpec(0, -1), side).conclusion in ("refuted", "inconclusive")
+
+    @pytest.mark.parametrize("bound, side", [
+        (upper_bound(Variant.AS_WRITTEN), "upper"),
+        (lower_bound(), "upper"),
+        (BoundSpec(F(1, 3), -2), "lower"),  # a pole on the grid at x = 2
+        (BoundSpec(0, -1), "lower"),  # a pole at the first grid point
+        (BoundSpec(0, -1), "upper"),
+    ])
+    def test_the_witness_search_alone_gives_the_reports_witness(self, bound, side):
+        assert refute_bound(bound, side) == prove_bound(bound, side).refutation
+
+    def test_the_witness_search_refuses_an_unknown_side(self):
+        with pytest.raises(ValueError):
+            refute_bound(lower_bound(), "both")
 
     def test_inconclusive_when_no_witness_found(self, monkeypatch):
         import eulerbounds.prover as prover

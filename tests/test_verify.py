@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds import verify
+from eulerbounds import prover, verify
 from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.cli import EXIT_FAIL, main
 from eulerbounds.enclosure import DEFAULT_WIDTH, RatInterval, RefinementExhausted
+from eulerbounds.series import Variant, upper_bound
 from eulerbounds.verify import (WIDTH_12, check_limit_numerics,
+                                check_variant_adjudication,
                                 check_weight_chains, sci_str)
 
 
@@ -228,7 +230,8 @@ HALF = TestSequence.geometric(F(1, 2))
 
 
 class TestWeightChainSums:
-    """The sums are decided at WIDTH_12 alone."""
+    """Each lhs is enclosed at SUM_WIDTHS in turn, coarsest first, and the
+    first width that decides all three schemes ends the sequence's turn."""
 
     @pytest.fixture
     def widths(self, monkeypatch, tmp_path):
@@ -240,22 +243,47 @@ class TestWeightChainSums:
         monkeypatch.setattr(verify, "geometric_mean_sum", spy)
         return seen
 
-    def test_passing_sums_stay_coarse(self, widths):
-        assert check_weight_chains() == (True, SUMS_PASS)
-        assert widths == [WIDTH_12] * 3
-
-    def test_a_violation_fails_verify_all(self, widths, monkeypatch):
-        """geometric(1/2) under the simple weights gets an rhs.lo below
-        the coarse lhs.hi."""
-        lo = geometric_mean_sum(HALF, 200, WIDTH_12).lo
+    @staticmethod
+    def simple_rhs_for_half(monkeypatch, lo):
+        """geometric(1/2) under the simple weights gets rhs [lo, lo + 1]."""
         weighted = verify.weighted_sum
         monkeypatch.setattr(verify, "weighted_sum", lambda seq, scheme, N: (
             RatInterval(lo, lo + 1) if (seq, scheme.kind) == (HALF, "simple")
             else weighted(seq, scheme, N)))
+
+    def test_passing_sums_stay_coarse(self, widths):
+        assert check_weight_chains() == (True, SUMS_PASS)
+        assert widths == [1, 1, 1]
+
+    def test_a_straddle_at_width_1_is_decided_finer(self, widths, monkeypatch):
+        coarse = geometric_mean_sum(HALF, 200, F(1)).hi
+        finer = geometric_mean_sum(HALF, 200, F(1, 10**6)).hi
+        assert finer < coarse
+        self.simple_rhs_for_half(monkeypatch, (finer + coarse) / 2)
+        assert check_weight_chains() == (True, SUMS_PASS)
+        assert widths == [1, F(1, 10**6), 1, 1]
+
+    def test_a_violation_fails_verify_all(self, widths, monkeypatch):
+        """An rhs.lo below the lhs.lo at WIDTH_12 straddles at every width."""
+        self.simple_rhs_for_half(monkeypatch, geometric_mean_sum(HALF, 200, WIDTH_12).lo)
         out = io.StringIO()
         assert main(["verify-all"], out=out) == EXIT_FAIL
         assert ("FAIL weight-chains: chain N=10^4 passed=True non-improving=[1]; "
                 "geometric(1/2)/simple: VIOLATED; sums at N=200: "
                 "lhs.hi <= rhs.lo for 3 sequences x 3 schemes\n") in out.getvalue()
         assert out.getvalue().endswith("CHECKS FAILED (10 checks)\n")
-        assert widths == [WIDTH_12] * 3
+        assert widths == [1, F(1, 10**6), WIDTH_12, 1, 1]
+
+
+class TestVariantAdjudication:
+    def test_the_as_written_bound_is_refuted_by_its_witness_alone(self, monkeypatch):
+        """No f'' is built for the as-written bound, and the detail is the
+        golden one."""
+        seen = []
+        second_derivative = prover.log_gap_second_derivative
+        monkeypatch.setattr(prover, "log_gap_second_derivative",
+                            lambda bound: seen.append(bound) or second_derivative(bound))
+        assert check_variant_adjudication() == (True, (
+            "as-written: refuted, check at 1 -> fails(upper); "
+            "dedup: proven, holds for n=1..100: True"))
+        assert seen == [upper_bound(Variant.DEDUP)]
