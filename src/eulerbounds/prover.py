@@ -237,7 +237,8 @@ REFERENCE_LOWER_CERT_NUMERATOR = Poly(
      44174729709158400, 3234548057702400])
 
 # Shifted numerator of the upper gap's second derivative, negated:
-# g''(x) = -(this at x-1) / (x^2 (x+1)^2 (12x+11)^2 Q(x)^2).
+# g''(x) = -(this at x-1) / (x^2 (x+1)^2 (12x+11)^2 N(x)^2), where N is
+# the upper bound's cleared numerator, REFERENCE_UPPER_NUMERATOR.
 REFERENCE_UPPER_CERT_NUMERATOR = Poly(
     [621810333384191039953, 5495336279092271136793, 22015820845590210733374,
      52587526363654958754048, 83107983906845638539984, 91197790053279643410048,

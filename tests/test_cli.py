@@ -517,7 +517,8 @@ SYMBOLIC = ["algebra", "series"]
     (["prove"], SYMBOLIC + ["enclosure", "prover"]),
     (["keller"], SYMBOLIC + ["enclosure", "keller"]),
     (["carleman"], SYMBOLIC + ["enclosure", "carleman"]),
-    (["verify-all"], SYMBOLIC + ["enclosure", "prover", "keller", "carleman", "verify"]),
+    (["verify-all"], SYMBOLIC + ["enclosure", "prover", "keller", "carleman", "recheck",
+                                "verify"]),
     # refused while parsing: only a --seq value, parsed first, loads a layer
     (["carleman", "--N", "0"], []),
     (["carleman", "--seq", "geometric:1/2", "--N", "0"], SYMBOLIC + ["enclosure", "carleman"]),

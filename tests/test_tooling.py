@@ -1,6 +1,7 @@
 """Repository checks: no floating point in the library, no public library
 code that only the tests use, no library module importing another's
-private names, rational functions only in algebra and the prover, one
+private names, a certificate checker that imports no module of the
+package, rational functions only in algebra and the prover, one
 reader of the integer digit limit and no hand-sized thresholds, a CLI
 modes table that agrees with the parser, and the benchmark tracer still
 finds every name it wraps."""
@@ -65,6 +66,34 @@ def test_private_import_scan_sees_package_imports_only(tmp_path):
                       "from eulerbounds.series import _horner\nfrom . import _module\n")
     assert private_imports(sample) == [
         "sample.py:3: _kernel", "sample.py:4: _horner", "sample.py:5: _module"]
+
+
+def package_imports(path: Path) -> list[str]:
+    """Every import of the package, or of one of its modules, in one source
+    file: relative imports and imports of ``eulerbounds``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "eulerbounds"):
+            found.append(f"{path.name}:{node.lineno}: {'.' * node.level}{node.module or ''}")
+        elif isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "eulerbounds"]
+    return found
+
+
+def test_the_certificate_checker_imports_no_module_of_the_package():
+    # recheck must share nothing with the prover, or it would recheck nothing
+    assert package_imports(ROOT / "src" / "eulerbounds" / "recheck.py") == []
+
+
+def test_package_import_scan_sees_every_form(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("import math\nfrom typing import NamedTuple\nfrom . import prover\n"
+                      "from .algebra import Poly\nimport eulerbounds.series\n"
+                      "from eulerbounds import verify\n")
+    assert [f.split(": ")[1] for f in package_imports(sample)] == [
+        ".", ".algebra", "eulerbounds.series", "eulerbounds"]
 
 
 def name_uses(tree: ast.AST) -> list[tuple[str, int]]:

@@ -4,12 +4,14 @@ import io
 import os
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulerbounds import prover, verify
+from eulerbounds import algebra, prover, verify
+from eulerbounds.algebra import Poly
 from eulerbounds.carleman import TestSequence, geometric_mean_sum
 from eulerbounds.cli import EXIT_FAIL, main
 from eulerbounds.enclosure import DEFAULT_WIDTH, RatInterval, RefinementExhausted
@@ -105,6 +107,12 @@ def comparator_reporting_one_violation(monkeypatch):
                         else below(n, *pairs))
 
 
+def perturbed_lower_certificate(monkeypatch):
+    coeffs = list(prover.REFERENCE_LOWER_CERT_NUMERATOR.coeffs)
+    coeffs[3] += 1
+    monkeypatch.setattr(verify, "REFERENCE_LOWER_CERT_NUMERATOR", Poly(coeffs))
+
+
 class TestGateFails:
     def run_gate(self):
         out = io.StringIO()
@@ -123,6 +131,16 @@ class TestGateFails:
         assert code == EXIT_FAIL
         assert "FAIL classical-bracket: violations in 1..1000: [500]\n" in out
         assert out.endswith("CHECKS FAILED (10 checks)\n")
+
+    def test_perturbed_lower_certificate(self, monkeypatch):
+        perturbed_lower_certificate(monkeypatch)
+        code, out = self.run_gate()
+        assert code == EXIT_FAIL
+        assert ("FAIL lower-certificate: conclusion=unproven "
+                "(failed: second-derivative identity); bound numerator (cleared): match; "
+                "second-derivative denominator structure: MISMATCH; "
+                "certificate shifted numerator: MISMATCH\n") in out
+        assert out.count("\nFAIL ") == 1 and out.endswith("CHECKS FAILED (10 checks)\n")
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +174,8 @@ class TestForkedChecks:
         assert run_gate(monkeypatch, 2) == in_process_gate
 
     @pytest.mark.parametrize("fault", [wrong_telescoping_weight,
-                                       comparator_reporting_one_violation])
+                                       comparator_reporting_one_violation,
+                                       perturbed_lower_certificate])
     def test_failing_gate_matches_in_process(self, fault, monkeypatch):
         fault(monkeypatch)
         forked = run_gate(monkeypatch, 2)
@@ -277,8 +296,9 @@ class TestWeightChainSums:
 
 class TestVariantAdjudication:
     def test_the_as_written_bound_is_refuted_by_its_witness_alone(self, monkeypatch):
-        """No f'' is built for the as-written bound, and the detail is the
-        golden one."""
+        """No f'' is built at all: the as-written bound is refuted by its
+        witness and the dedup one rechecked from its published certificate;
+        the detail is the golden one."""
         seen = []
         second_derivative = prover.log_gap_second_derivative
         monkeypatch.setattr(prover, "log_gap_second_derivative",
@@ -286,4 +306,20 @@ class TestVariantAdjudication:
         assert check_variant_adjudication() == (True, (
             "as-written: refuted, check at 1 -> fails(upper); "
             "dedup: proven, holds for n=1..100: True"))
-        assert seen == [upper_bound(Variant.DEDUP)]
+        assert seen == []
+
+
+GOLDEN_GATE = (Path(__file__).resolve().parent.parent
+               / "perfbench" / "golden" / "gate" / "00.out")
+
+
+class TestNoProverInTheGate:
+    """verify-all builds no f'' and no RatFunc: the prover's proof path
+    can fail outright and the gate still prints its golden bytes."""
+
+    def test_verify_all_prints_the_golden_bytes_with_the_prover_disabled(self, monkeypatch):
+        for name in ("log_gap_second_derivative", "prove_bound",
+                     "match_reference_polynomials"):
+            monkeypatch.setattr(prover, name, raising(AssertionError(name)))
+        monkeypatch.setattr(algebra.RatFunc, "__init__", raising(AssertionError("RatFunc")))
+        assert run_gate(monkeypatch, 1) == (0, GOLDEN_GATE.read_text())
